@@ -48,7 +48,6 @@ let () =
 
   (* 3. audit trail: explain one control relationship on the Example 4.2
      relational encoding with provenance enabled *)
-  let prov = Kgm_vadalog.Engine.create_provenance () in
   let db = Kgm_vadalog.Database.create () in
   let module DG = Kgm_algo.Digraph in
   for v = o.Kgm_finance.Generator.n_persons to DG.n o.Kgm_finance.Generator.graph - 1 do
@@ -66,15 +65,23 @@ let () =
   let program =
     Kgm_vadalog.Parser.parse_program Kgm_finance.Control.vadalog_program
   in
-  ignore (Kgm_vadalog.Engine.run ~provenance:prov program db);
+  let options =
+    { Kgm_vadalog.Engine.default_options with Kgm_vadalog.Engine.provenance = true }
+  in
+  let stats = Kgm_vadalog.Engine.run ~options program db in
+  let sup = Option.get stats.Kgm_vadalog.Engine.support in
+  let explain f = Kgm_vadalog.Engine.explain_tree sup program "controls" f in
   let indirect =
     List.find_opt
       (fun f ->
         match f with
         | [| Value.Int x; Value.Int y |] when x <> y -> (
-            match Kgm_vadalog.Engine.explain prov "controls" f with
-            | Some d -> List.exists (fun (p, _) -> p = "controls") d.Kgm_vadalog.Engine.parents
-            | None -> false)
+            match (explain f).Kgm_vadalog.Engine.et_node with
+            | Kgm_vadalog.Engine.Derived d ->
+                List.exists
+                  (fun p -> p.Kgm_vadalog.Engine.et_pred = "controls")
+                  d.Kgm_vadalog.Engine.ed_premises
+            | _ -> false)
         | _ -> false)
       (Kgm_vadalog.Engine.query db "controls")
   in
@@ -82,8 +89,7 @@ let () =
    | Some f ->
        Format.printf "3. audit trail for controls(%s):@.%a@."
          (String.concat ", " (Array.to_list (Array.map Value.to_string f)))
-         (Kgm_vadalog.Engine.pp_derivation_tree prov)
-         ("controls", f)
+         Kgm_vadalog.Engine.pp_explain_tree (explain f)
    | None -> Format.printf "3. no indirect control in this network@.");
 
   (* 4. as-of analysis over the validity timeline *)

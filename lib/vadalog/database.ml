@@ -343,45 +343,46 @@ let indexed_patterns t pred =
 let iter_matches_i t pred positions key f =
   match Hashtbl.find_opt t.preds pred with
   | None -> 0
-  | Some s ->
+  | Some s -> (
+      (* [f] may append to the store: the probe visits, and counts, only
+         the facts present when it started *)
+      let n = s.count in
+      let each_posting idx =
+        match IKeyTbl.find_opt idx key with
+        | Some ps ->
+            let len = ps.p_len in
+            for i = 0 to len - 1 do
+              let seq = ps.p_seq.(i) in
+              f seq s.arr.(seq)
+            done;
+            len
+        | None -> 0
+      in
       if positions = [] then begin
-        for i = 0 to s.count - 1 do
+        for i = 0 to n - 1 do
           f i s.arr.(i)
         done;
-        s.count
+        n
       end
-      else begin
+      else
         match Hashtbl.find_opt s.indexes positions with
-        | Some idx -> (
-            match IKeyTbl.find_opt idx key with
-            | Some ps ->
-                for i = 0 to ps.p_len - 1 do
-                  let seq = ps.p_seq.(i) in
-                  f seq s.arr.(seq)
-                done;
-                ps.p_len
-            | None -> 0)
-        | None ->
-            if t.frozen then begin
-              for i = 0 to s.count - 1 do
-                match index_key positions s.arr.(i) with
-                | Some k when IKey.equal k key -> f i s.arr.(i)
-                | _ -> ()
-              done;
-              s.count
-            end
-            else begin
-              let idx = build_index s positions in
-              match IKeyTbl.find_opt idx key with
-              | Some ps ->
-                  for i = 0 to ps.p_len - 1 do
-                    let seq = ps.p_seq.(i) in
-                    f seq s.arr.(seq)
-                  done;
-                  ps.p_len
-              | None -> 0
-            end
-      end
+        | Some idx -> each_posting idx
+        | None when t.frozen ->
+            for i = 0 to n - 1 do
+              match index_key positions s.arr.(i) with
+              | Some k when IKey.equal k key -> f i s.arr.(i)
+              | _ -> ()
+            done;
+            n
+        | None -> each_posting (build_index s positions))
+
+let iter_range t pred ~lo ~hi f =
+  match Hashtbl.find_opt t.preds pred with
+  | None -> ()
+  | Some s ->
+      for i = max 0 lo to min hi s.count - 1 do
+        f i s.arr.(i)
+      done
 
 (** Interned facts whose ids at [positions] equal [key], in insertion
     order (see {!iter_matches_i} for the index semantics). *)

@@ -104,12 +104,19 @@ val iter_matches :
     unfrozen store), but the predicate's whole cardinality on the frozen
     missing-index path, where the probe degrades to a linear scan. The
     engine charges this to its [rs_probes] counter, so un-prepared
-    probe patterns show up as the full scans they really are. *)
+    probe patterns show up as the full scans they really are. [f] may
+    add facts to an unfrozen store: the probe visits, and counts, only
+    the facts present when it started. *)
 
 val iter_matches_i :
   t -> string -> int list -> int list -> (int -> ifact -> unit) -> int
 (** {!iter_matches} over interned facts and an id-encoded key — the
     engine's hot probe path (no per-fact decoding). *)
+
+val iter_range : t -> string -> lo:int -> hi:int -> (int -> ifact -> unit) -> unit
+(** [iter_range t pred ~lo ~hi f] calls [f seq ifact] for the facts of
+    [pred] with insertion sequence [lo <= seq < hi], ascending — the
+    store read in place, no copy (frozen-safe). *)
 
 val remove_batch :
   ?on_remove:(string -> fact -> unit) -> t -> (string * fact) list -> int

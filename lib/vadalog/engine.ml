@@ -111,12 +111,18 @@ type rule_stats = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Provenance: the first derivation recorded for each derived fact      *)
+(* Derivation support: the full multiset of derivations — what DRed
+   maintains and what fact-level explanation walks.
 
-type derivation = {
-  via_rule : string;                       (* pp of the firing rule *)
-  parents : (string * Value.t array) list; (* body facts that matched *)
-}
+   Delete-and-rederive needs every derivation (a fact whose first
+   derivation dies may survive through an alternative one), the nulls
+   each firing invented (a null's creating derivation dying retracts
+   the null and everything carrying it), and the restricted-chase
+   checks that SUPPRESSED an invention (when the homomorphic image that
+   satisfied the check dies, the suppressed firing must be re-attempted
+   — it may now invent). [Incremental] drives all of this; the
+   structure is transparent in the interface because the maintenance
+   layer walks and prunes it in place. *)
 
 (* keyed consistently with Value.equal/Value.hash, like the fact store *)
 module ProvTbl = Hashtbl.Make (struct
@@ -125,44 +131,6 @@ module ProvTbl = Hashtbl.Make (struct
   let equal (p, k) (p', k') = String.equal p p' && List.equal Value.equal k k'
   let hash (p, k) = Hashtbl.hash (p, List.map Value.hash k)
 end)
-
-type provenance = derivation ProvTbl.t
-
-let create_provenance () : provenance = ProvTbl.create 256
-
-let explain (prov : provenance) pred fact =
-  ProvTbl.find_opt prov (pred, Array.to_list fact)
-
-let rec pp_derivation_tree (prov : provenance) ppf (pred, fact) =
-  let pp_fact ppf (p, f) =
-    Format.fprintf ppf "%s(%s)" p
-      (String.concat ", " (Array.to_list (Array.map Value.to_string f)))
-  in
-  Format.fprintf ppf "@[<v 2>%a" pp_fact (pred, fact);
-  (match explain prov pred fact with
-   | Some d ->
-       Format.fprintf ppf "  <- %s" d.via_rule;
-       List.iter
-         (fun (p, f) ->
-           Format.fprintf ppf "@,%a" (pp_derivation_tree prov) (p, f))
-         d.parents
-   | None -> Format.fprintf ppf "  (ground)");
-  Format.fprintf ppf "@]"
-
-(* ------------------------------------------------------------------ *)
-(* Derivation support: the full multiset of derivations, for DRed.
-
-   Provenance above records the FIRST derivation of each fact — enough
-   to explain it, not enough to maintain it: delete-and-rederive needs
-   every derivation (a fact whose first derivation dies may survive
-   through an alternative one), the nulls each firing invented (a
-   null's creating derivation dying retracts the null and everything
-   carrying it), and the restricted-chase checks that SUPPRESSED an
-   invention (when the homomorphic image that satisfied the check dies,
-   the suppressed firing must be re-attempted — it may now invent).
-   [Incremental] drives all of this; the structure is transparent in
-   the interface because the maintenance layer walks and prunes it
-   in place. *)
 
 let fact_equal (a : Database.fact) (b : Database.fact) =
   Array.length a = Array.length b
@@ -522,12 +490,6 @@ type prepared = {
   (* the non-existential head variables — everything the merge phase
      needs to re-fire a candidate (ground the head, run the
      restricted-chase check, invent nulls for the rest) *)
-  index_patterns : (string * int list) list;
-  (* for each positive body literal, the bound-position pattern its
-     written-order evaluation will probe: constants plus variables
-     bound by an earlier literal. Built eagerly by the parallel path
-     before freezing the database. A pattern the prediction misses only
-     costs a linear scan on the frozen store, never a crash. *)
   cbody : clit list;   (* body compiled against the dictionary *)
   cheads : catom list; (* head atoms, likewise *)
 }
@@ -686,32 +648,6 @@ let prepare ?rid dict rule_id (r : Rule.rule) =
          (fun v -> not (List.mem v existentials))
          (Rule.head_vars r.Rule.head))
   in
-  let index_patterns =
-    let bound = Hashtbl.create 16 in
-    List.concat_map
-      (fun lit ->
-        let here =
-          match lit with
-          | Rule.Pos (a : Rule.atom) ->
-              let pattern =
-                List.mapi
-                  (fun i t ->
-                    match t with
-                    | Term.Const _ -> Some i
-                    | Term.Var x ->
-                        if Hashtbl.mem bound x then Some i else None)
-                  a.Rule.args
-                |> List.filter_map Fun.id
-              in
-              if pattern = [] then [] else [ (a.Rule.pred, pattern) ]
-          | _ -> []
-        in
-        List.iter
-          (fun v -> Hashtbl.replace bound v ())
-          (Rule.literal_body_bound lit);
-        here)
-      r.Rule.body
-  in
   { rule = r;
     rule_id;
     rid = (match rid with Some id -> id | None -> rule_id);
@@ -726,7 +662,6 @@ let prepare ?rid dict rule_id (r : Rule.rule) =
     strat_agg_index;
     has_agg;
     needed_vars;
-    index_patterns;
     cbody = List.map (compile_lit dict) r.Rule.body;
     cheads = List.map (compile_atom dict) r.Rule.head }
 
@@ -752,8 +687,7 @@ type run_state = {
   opts : options;
   mutable added : int;
   agg_states : (int, agg_state) Hashtbl.t; (* rid -> state *)
-  prov : provenance option;
-  sup : support option;  (* full derivation support (DRed maintenance) *)
+  sup : support option;  (* full derivation support (DRed, explanation) *)
   on_agg : (agg_event -> unit) option;
   (* group keys of the aggregate literals on the current evaluation
      path, innermost first — lets [fire] attribute head facts to the
@@ -821,8 +755,8 @@ let trail_parents st =
 let global_null_counter = Atomic.make 0
 
 (* [fresh_null st] returns the interned id of the fresh null and its
-   label. Only called from sequential sections (round 0, the merge
-   sweep), where appending to the dictionary is legal. *)
+   label. Only called from the sequential merge sweep, where appending
+   to the dictionary is legal. *)
 let fresh_null st =
   st.cur.c_nulls <- st.cur.c_nulls + 1;
   let n = Atomic.fetch_and_add global_null_counter 1 + 1 in
@@ -871,16 +805,13 @@ let cterm_id env = function
    first, then pointwise equality at the bound positions) would have
    kept, in the same chronological order — probe counters and match
    order are unchanged, only the per-probe scan of the whole delta goes
-   away. Each entry carries the fact's index within the round's delta,
-   the delta component of the emission-order sort key. *)
+   away. *)
 type delta_group = {
-  dg_facts : (int * Database.ifact) list;  (* (delta index, fact), chronological *)
-  dg_cache : (int * int list, (int * Database.ifact) list ref IKeyTbl.t) Hashtbl.t;
+  dg_facts : Database.ifact array;  (* chronological *)
+  dg_cache : (int * int list, Database.ifact list ref IKeyTbl.t) Hashtbl.t;
 }
 
-let delta_group ?(offset = 0) facts =
-  { dg_facts = List.mapi (fun i f -> (offset + i, f)) facts;
-    dg_cache = Hashtbl.create 4 }
+let delta_group facts = { dg_facts = facts; dg_cache = Hashtbl.create 4 }
 
 let dg_lookup dg ~arity positions key =
   let ck = (arity, positions) in
@@ -889,14 +820,14 @@ let dg_lookup dg ~arity positions key =
     | Some t -> t
     | None ->
         let t = IKeyTbl.create 32 in
-        List.iter
-          (fun ((_, f) as entry) ->
+        Array.iter
+          (fun f ->
             if Array.length f = arity then begin
               (* positions all < arity: they index a literal of this arity *)
               let k = List.map (fun i -> f.(i)) positions in
               match IKeyTbl.find_opt t k with
-              | Some r -> r := entry :: !r
-              | None -> IKeyTbl.add t k (ref [ entry ])
+              | Some r -> r := f :: !r
+              | None -> IKeyTbl.add t k (ref [ f ])
             end)
           dg.dg_facts;
         IKeyTbl.iter (fun _ r -> r := List.rev !r) t;
@@ -905,57 +836,66 @@ let dg_lookup dg ~arity positions key =
   in
   match IKeyTbl.find_opt tbl key with Some r -> !r | None -> []
 
-(* Enumerate facts matching atom under env; call k for each extension.
-   All comparisons are id equality. Candidate lists are materialized
-   before iterating (the continuation may add facts to the live store
-   mid-iteration; a snapshot keeps the enumeration stable, exactly as
-   the pre-interning code did). *)
-let match_atom st env (a : catom) ~facts_override k =
-  let args = a.ca_args in
-  let n = Array.length args in
-  (* bound positions and their key ids *)
+(* The positions of [args] bound under [env] (constants and bound
+   variables) and their ids: a probe's index pattern and key. *)
+let probe_key env args =
   let positions = ref [] and key = ref [] in
-  for i = n - 1 downto 0 do
+  for i = Array.length args - 1 downto 0 do
     match cterm_id env args.(i) with
     | Some id ->
         positions := i :: !positions;
         key := id :: !key
     | None -> ()
   done;
-  let each (fact : Database.ifact) =
-    if Array.length fact = n then begin
-      let mark = env_mark env in
-      let ok = ref true in
-      (try
-         for i = 0 to n - 1 do
-           match args.(i) with
-           | CConst id -> if id <> fact.(i) then raise Exit
-           | CVar x ->
-               (match env_lookup env x with
-                | Some id -> if id <> fact.(i) then raise Exit
-                | None -> env_bind env x fact.(i))
-         done
-       with Exit -> ok := false);
-      if !ok then begin
-        if Option.is_some st.prov || Option.is_some st.sup then begin
+  (!positions, !key)
+
+(* Run [k] with [env] extended so that [args] match [fact] (id
+   equality), when they do; the bindings are undone afterwards. *)
+let with_match env args (fact : Database.ifact) k =
+  let n = Array.length args in
+  if Array.length fact = n then begin
+    let mark = env_mark env in
+    (match
+       for i = 0 to n - 1 do
+         match args.(i) with
+         | CConst id -> if id <> fact.(i) then raise Exit
+         | CVar x ->
+             (match env_lookup env x with
+              | Some id -> if id <> fact.(i) then raise Exit
+              | None -> env_bind env x fact.(i))
+       done
+     with
+     | () -> k ()
+     | exception Exit -> ());
+    env_undo env mark
+  end
+
+(* Enumerate facts matching atom under env; call k for each extension.
+   The continuation may add facts to the live store mid-iteration; a
+   probe only visits the facts present when it started, so the
+   enumeration is stable. *)
+let match_atom st env (a : catom) ~facts_override k =
+  let positions, key = probe_key env a.ca_args in
+  let each _ (fact : Database.ifact) =
+    with_match env a.ca_args fact (fun () ->
+        if Option.is_some st.sup then begin
           trail_push st a.ca_pred fact;
           k ();
           st.trail_len <- st.trail_len - 1
         end
-        else k ()
-      end;
-      env_undo env mark
-    end
+        else k ())
   in
-  match facts_override with
-  | Some dg ->
-      let group = dg_lookup dg ~arity:n !positions !key in
-      st.cur.c_probes <- st.cur.c_probes + List.length group;
-      List.iter (fun (_, fact) -> each fact) group
-  | None ->
-      let candidates = Database.lookup_i st.db a.ca_pred !positions !key in
-      st.cur.c_probes <- st.cur.c_probes + List.length candidates;
-      List.iter each candidates
+  let examined =
+    match facts_override with
+    | Some dg ->
+        let group =
+          dg_lookup dg ~arity:(Array.length a.ca_args) positions key
+        in
+        List.iter (each 0) group;
+        List.length group
+    | None -> Database.iter_matches_i st.db a.ca_pred positions key each
+  in
+  st.cur.c_probes <- st.cur.c_probes + examined
 
 let ground_atom env (a : catom) : Database.ifact =
   Array.map
@@ -1068,62 +1008,38 @@ let fire st env (prep : prepared) ~on_new =
       raise (Stop_chase (`Facts, false))
     end
   in
-  let record pred (fact : Database.fact) =
-    match st.prov with
-    | Some prov ->
-        let key = (pred, Array.to_list fact) in
-        if not (ProvTbl.mem prov key) then
-          ProvTbl.add prov key
-            { via_rule = Format.asprintf "%a" Rule.pp_rule prep.rule;
-              parents = List.rev (resolve_parents st (trail_parents st)) }
-    | None -> ()
-  in
-  (* support records EVERY derivation — including re-derivations of a
-     fact already present: DRed needs the alternatives a fact may
-     survive a retraction through *)
-  let record_support nulls pred fact =
-    match st.sup with
-    | Some sup ->
-        support_record sup ~rule_id:prep.rid
-          ~parents:(resolve_parents st (trail_parents st)) ~nulls pred fact
-    | None -> ()
-  in
-  let notify_agg pred fact =
-    match st.on_agg with
-    | Some f when st.agg_notes <> [] ->
-        List.iter
-          (fun (rid, group) ->
-            f (Agg_head { ah_rule = rid; ah_group = group;
-                          ah_pred = pred; ah_fact = fact }))
-          st.agg_notes
-    | _ -> ()
-  in
   let add_head nulls (a : catom) =
     let ifact = ground_atom env a in
-    if Database.add_i st.db a.ca_pred ifact then begin
+    let is_new = Database.add_i st.db a.ca_pred ifact in
+    if is_new then begin
       st.added <- st.added + 1;
       st.cur.c_firings <- st.cur.c_firings + 1;
-      budget_check ();
-      (* maintenance layers stay value-based: resolve once, at the
-         recording boundary, off the hot dedup path *)
-      if Option.is_some st.prov || Option.is_some st.sup
-         || Option.is_some st.on_agg
-      then begin
-        let fact = resolve_ifact st ifact in
-        record a.ca_pred fact;
-        (match st.sup with
-         | Some sup -> support_index_fact sup a.ca_pred fact
-         | None -> ());
-        record_support nulls a.ca_pred fact;
-        notify_agg a.ca_pred fact
-      end;
-      on_new a.ca_pred ifact
-    end
-    else if Option.is_some st.sup || Option.is_some st.on_agg then begin
+      budget_check ()
+    end;
+    (* support and aggregate observers see EVERY derivation — including
+       re-derivations of a fact already present: DRed needs the
+       alternatives a fact may survive a retraction through. They stay
+       value-based: resolve once, at the recording boundary, off the
+       hot dedup path. *)
+    if Option.is_some st.sup || Option.is_some st.on_agg then begin
       let fact = resolve_ifact st ifact in
-      record_support nulls a.ca_pred fact;
-      notify_agg a.ca_pred fact
-    end
+      (match st.sup with
+       | Some sup ->
+           if is_new then support_index_fact sup a.ca_pred fact;
+           support_record sup ~rule_id:prep.rid
+             ~parents:(resolve_parents st (trail_parents st)) ~nulls a.ca_pred
+             fact
+       | None -> ());
+      match st.on_agg with
+      | Some f ->
+          List.iter
+            (fun (rid, group) ->
+              f (Agg_head { ah_rule = rid; ah_group = group;
+                            ah_pred = a.ca_pred; ah_fact = fact }))
+            st.agg_notes
+      | None -> ()
+    end;
+    if is_new then on_new a.ca_pred ifact
   in
   if prep.existentials = [] then List.iter (add_head []) prep.cheads
   else begin
@@ -1159,6 +1075,48 @@ let fire st env (prep : prepared) ~on_new =
     end
   end
 
+(* Negations, conditions and assignments, the same on every evaluation
+   path: [continue] runs once when the literal holds (an assignment
+   binds its variable around it). *)
+let eval_filter st env lit continue =
+  match lit with
+  | CNeg a ->
+      (* a fact holding a worker-local scratch id cannot be stored:
+         [mem_i] is false, i.e. the negated atom correctly fails to
+         block *)
+      if not (Database.mem_i st.db a.ca_pred (ground_atom env a)) then
+        continue ()
+  | CCond e -> if Expr.truthy_fn (env_value st env) e then continue ()
+  | CAssign (x, e) -> (
+      let id = value_id st (Expr.eval_fn (env_value st env) e) in
+      match env_lookup env x with
+      | Some id' -> if id = id' then continue ()
+      | None ->
+          let mark = env_mark env in
+          env_bind env x id;
+          continue ();
+          env_undo env mark)
+  | CPos _ | CAgg _ ->
+      Kgm_error.reason_error "not a filter literal (engine bug)"
+
+(* the values [vars] are bound to, for aggregate keys *)
+let bound_values st env what vars =
+  List.map
+    (fun v ->
+      match env_value st env v with
+      | Some value -> value
+      | None -> Kgm_error.reason_error "unbound %s %s" what v)
+    vars
+
+(* the group of [key], created empty on first use *)
+let agg_group (state : agg_state) key =
+  match KeyTbl.find_opt state key with
+  | Some g -> g
+  | None ->
+      let g = { seen = KeyTbl.create 16; acc = None; n = 0 } in
+      KeyTbl.add state key g;
+      g
+
 (* Evaluate literals from position [i]; [delta] optionally designates a
    literal index whose atom must range over the given fact list.
    [emit] is called (under the complete bindings) once per satisfied
@@ -1176,43 +1134,16 @@ let rec eval_literals st env (prep : prepared) body i ~delta ~emit =
             | Some (j, fl) when j = i -> Some fl
             | _ -> None
           in
-          match_atom st env a ~facts_override (fun () -> continue ())
-      | CNeg a ->
-          let fact = ground_atom env a in
-          (* a fact holding a worker-local scratch id cannot be stored:
-             [mem_i] is false, i.e. the negated atom correctly fails to
-             block *)
-          if not (Database.mem_i st.db a.ca_pred fact) then continue ()
-      | CCond e -> if Expr.truthy_fn (env_value st env) e then continue ()
-      | CAssign (x, e) ->
-          let v = Expr.eval_fn (env_value st env) e in
-          let id = value_id st v in
-          (match env_lookup env x with
-           | Some id' -> if id = id' then continue ()
-           | None ->
-               let mark = env_mark env in
-               env_bind env x id;
-               continue ();
-               env_undo env mark)
+          match_atom st env a ~facts_override continue
+      | CNeg _ | CCond _ | CAssign _ -> eval_filter st env lit continue
       | CAgg g when g.Rule.mode = Rule.Monotonic ->
           (* aggregate state is checkpointed, so its keys stay
              value-level; aggregates only run on the sequential path *)
-          let gv = List.assoc i prep.group_vars in
           let group_key =
-            List.map
-              (fun v ->
-                match env_value st env v with
-                | Some value -> value
-                | None -> Kgm_error.reason_error "unbound group variable %s" v)
-              gv
+            bound_values st env "group variable" (List.assoc i prep.group_vars)
           in
           let contrib_key =
-            List.map
-              (fun v ->
-                match env_value st env v with
-                | Some value -> value
-                | None -> Kgm_error.reason_error "unbound contributor %s" v)
-              g.Rule.contributors
+            bound_values st env "contributor" g.Rule.contributors
           in
           let state =
             match Hashtbl.find_opt st.agg_states prep.rid with
@@ -1222,14 +1153,7 @@ let rec eval_literals st env (prep : prepared) body i ~delta ~emit =
                 Hashtbl.add st.agg_states prep.rid s;
                 s
           in
-          let group =
-            match KeyTbl.find_opt state group_key with
-            | Some gstate -> gstate
-            | None ->
-                let gstate = { seen = KeyTbl.create 16; acc = None; n = 0 } in
-                KeyTbl.add state group_key gstate;
-                gstate
-          in
+          let group = agg_group state group_key in
           if not (KeyTbl.mem group.seen contrib_key) then begin
             KeyTbl.add group.seen contrib_key ();
             let w = Expr.eval_fn (env_value st env) g.Rule.weight in
@@ -1281,51 +1205,27 @@ let eval_stratified st (prep : prepared) agg_i ~on_new =
          (List.filteri (fun j _ -> j < agg_i) prep.rule.Rule.body))
   in
   let groups : agg_state = KeyTbl.create 64 in
-  let rec enumerate env lits i k =
+  let rec enumerate env lits k =
     match lits with
     | [] -> k ()
-    | lit :: rest -> (
-        let continue () = enumerate env rest (i + 1) k in
-        match lit with
-        | CPos a -> match_atom st env a ~facts_override:None (fun () -> continue ())
-        | CNeg a ->
-            let fact = ground_atom env a in
-            if not (Database.mem_i st.db a.ca_pred fact) then continue ()
-        | CCond e -> if Expr.truthy_fn (env_value st env) e then continue ()
-        | CAssign (x, e) ->
-            let v = Expr.eval_fn (env_value st env) e in
-            let id = value_id st v in
-            (match env_lookup env x with
-             | Some id' -> if id = id' then continue ()
-             | None ->
-                 let mark = env_mark env in
-                 env_bind env x id;
-                 continue ();
-                 env_undo env mark)
-        | CAgg _ -> Kgm_error.reason_error "nested aggregate")
+    | CPos a :: rest ->
+        match_atom st env a ~facts_override:None (fun () -> enumerate env rest k)
+    | CAgg _ :: _ -> Kgm_error.reason_error "nested aggregate"
+    | lit :: rest -> eval_filter st env lit (fun () -> enumerate env rest k)
   in
   let env = env_create () in
-  enumerate env prefix 0 (fun () ->
-      let group_key =
-        List.map (fun v -> Option.get (env_value st env v)) gv
-      in
+  enumerate env prefix (fun () ->
+      let group_key = bound_values st env "group variable" gv in
       let dedup_key =
         if g.Rule.contributors <> [] then
-          List.map (fun v -> Option.get (env_value st env v)) g.Rule.contributors
+          bound_values st env "contributor" g.Rule.contributors
         else
           (* set semantics: one contribution per distinct prefix binding *)
           List.map
             (fun v -> Option.value ~default:(Value.Null 0) (env_value st env v))
             prefix_vars
       in
-      let group =
-        match KeyTbl.find_opt groups group_key with
-        | Some gr -> gr
-        | None ->
-            let gr = { seen = KeyTbl.create 16; acc = None; n = 0 } in
-            KeyTbl.add groups group_key gr;
-            gr
-      in
+      let group = agg_group groups group_key in
       if not (KeyTbl.mem group.seen dedup_key) then begin
         KeyTbl.add group.seen dedup_key ();
         let w = Expr.eval_fn (env_value st env) g.Rule.weight in
@@ -1347,18 +1247,20 @@ let eval_stratified st (prep : prepared) agg_i ~on_new =
 
 (* ------------------------------------------------------------------ *)
 
-let eval_rule st (prep : prepared) ~delta ~on_new =
+(* Expression evaluation errors (division by zero, an unknown builtin)
+   leave the engine as [Reason] errors naming the rule — converted here,
+   where a rule is evaluated, on the sequential and the worker path. *)
+let guard_eval (prep : prepared) f =
+  try f ()
+  with Expr.Eval_error msg ->
+    Kgm_error.reason_error_ctx
+      [ ("rule", Format.asprintf "%a" Rule.pp_rule prep.rule) ]
+      "%s" msg
+
+(* Close one rule evaluation (or merge) started at [t0] with [before]
+   facts added: its time, its span and its journal batch. *)
+let finish_rule st (prep : prepared) ~t0 ~before =
   let ctr = st.ctrs.(prep.rule_id) in
-  st.cur <- ctr;
-  let t0 = Kgm_telemetry.Clock.now () in
-  let before = st.added in
-  (match prep.strat_agg_index with
-   | Some agg_i ->
-       if delta = None then eval_stratified st prep agg_i ~on_new
-   | None ->
-       let env = env_create () in
-       eval_literals st env prep prep.cbody 0 ~delta
-         ~emit:(fun () -> fire st env prep ~on_new));
   let t1 = Kgm_telemetry.Clock.now () in
   ctr.c_time <- ctr.c_time +. (t1 -. t0);
   if Kgm_telemetry.enabled st.tele then begin
@@ -1379,20 +1281,39 @@ let eval_rule st (prep : prepared) ~delta ~on_new =
         ("derived", J.Int (st.added - before));
         ("time_s", J.Float (t1 -. t0)) ]
 
+let eval_rule st (prep : prepared) ~delta ~on_new =
+  st.cur <- st.ctrs.(prep.rule_id);
+  let t0 = Kgm_telemetry.Clock.now () in
+  let before = st.added in
+  guard_eval prep (fun () ->
+      match prep.strat_agg_index with
+      | Some agg_i ->
+          if delta = None then eval_stratified st prep agg_i ~on_new
+      | None ->
+          let env = env_create () in
+          eval_literals st env prep prep.cbody 0 ~delta
+            ~emit:(fun () -> fire st env prep ~on_new));
+  finish_rule st prep ~t0 ~before
+
 (* ------------------------------------------------------------------ *)
 (* Parallel semi-naive rounds.
 
-   Within a stratum, every delta round is split into (rule x delta
-   chunk) work items. Workers match rule bodies against the database
-   {e frozen as of the round start} and only record candidate head
-   bindings; a sequential merge phase re-fires each candidate against
-   the live store: dedup, the restricted-chase homomorphism check,
-   labeled-null invention, provenance and delta recording all happen
-   there.
+   Every round of a semi-naive chase is split into (rule x chunk) work
+   items. A delta round drives each rule from every literal whose
+   predicate has a delta, chunked over that delta; the first round of a
+   chase from scratch drives each rule from exactly one literal,
+   chunked over insertion-sequence ranges of its whole relation (one
+   driving literal only: the other literals probe the same store, so a
+   second one would rediscover every match). Workers match rule bodies
+   against the database {e frozen as of the round start} and only
+   record candidate head bindings; a sequential merge phase re-fires
+   each candidate against the live store: dedup, the restricted-chase
+   homomorphism check, labeled-null invention, support and delta
+   recording all happen there.
 
    Merge order: each candidate carries the vector of fact insertion
    sequences of its match, over the written positive-literal positions
-   (the delta literal contributes the fact's index within the round's
+   (a delta literal contributes the fact's index within the round's
    delta). A sequential written-order evaluation of the whole delta
    emits matches exactly in lexicographic order of these vectors —
    candidate lists are probed in ascending insertion order, and the
@@ -1405,9 +1326,11 @@ let eval_rule st (prep : prepared) ~delta ~on_new =
 
    A match that the frozen snapshot misses (its facts were derived
    later in the same round) is re-discovered through the next round's
-   delta, so the fixpoint is unchanged; rules with aggregates are
-   order-sensitive and always evaluate sequentially against the live
-   store, at their program position inside the merge sweep. *)
+   delta, so the fixpoint is unchanged. Rules with aggregates are
+   order-sensitive, and rules without a positive literal have nothing
+   to drive them: both evaluate sequentially against the live store, at
+   their program position inside the merge sweep — as does every rule
+   of a naive (ABL-2) chase. *)
 
 type candidate = {
   cd_vals : int array;      (* needed_vars binding ids, positionally *)
@@ -1431,22 +1354,43 @@ let compare_candidates a b =
   in
   go 0
 
+(* What a work item's driving literal ranges over. *)
+type source =
+  | Chunk of Database.ifact array * int * int
+      (* the round delta of the literal's predicate (chronological) and
+         the [lo, hi) slice of it this item covers *)
+  | Range of int * int
+      (* insertion sequences [lo, hi) of the literal's predicate, read
+         in place from the frozen store *)
+
 type work_item = {
   w_prep : prepared;
-  w_lit : int;                   (* index of the delta-driven literal *)
+  w_lit : int;                   (* index of the driving literal *)
   w_order : int list;            (* literal evaluation order (a plan, or
-                                    the written order) *)
+                                    the written order); the driving
+                                    literal leads *)
   w_weight : int;                (* estimated probe volume, for
                                     heaviest-first pool scheduling *)
-  w_facts : Database.ifact list; (* its delta chunk, chronological *)
-  w_offset : int;                (* chunk start within the round delta *)
+  w_src : source;
 }
+
+let source_bounds = function Chunk (_, lo, hi) | Range (lo, hi) -> (lo, hi)
 
 type work_result = {
   wr_cands : candidate list;  (* emission order *)
   wr_probes : int;
   wr_time : float;
 }
+
+(* What a round ranges over. *)
+type round_input =
+  | Whole
+      (* every rule over the whole store: the first round of each
+         stratum of a chase from scratch, and every round of a naive
+         chase *)
+  | Delta of (string, Database.ifact array) Hashtbl.t
+      (* per predicate, the facts new since the previous round,
+         chronological *)
 
 (* Raised (on the caller domain) when a worker observed cancellation or
    an expired deadline mid-round. Nothing has been merged at that point:
@@ -1459,95 +1403,61 @@ exception Round_aborted
    [eval_literals]/[match_atom] exactly on what matches and what counts
    as a probe; additionally records, per positive literal, the insertion
    sequence of the matched fact into [keyv] (at the literal's written
-   Pos ordinal) and — when provenance is on — the matched fact into
-   [slots], from which the emit callback assembles the candidate. *)
-let eval_planned st env (prep : prepared) ~order ~delta_lit ~dg ~keyv ~pos_ord
-    ~slots ~emit =
+   Pos ordinal) and — when support is recorded — the matched fact into
+   [slots], from which the emit callback assembles the candidate.
+   [drive pred f] feeds the driving literal's source (facts of [pred])
+   to [f] as (sequence, fact) pairs. *)
+let eval_planned st env (prep : prepared) ~order ~delta_lit ~drive ~keyv
+    ~pos_ord ~slots ~emit =
   let body = Array.of_list prep.cbody in
   let rec go = function
     | [] -> emit ()
     | j :: rest -> (
-        let continue () = go rest in
         match body.(j) with
         | CPos a ->
-            let args = a.ca_args in
-            let n = Array.length args in
-            let positions = ref [] and key = ref [] in
-            for i = n - 1 downto 0 do
-              match cterm_id env args.(i) with
-              | Some id ->
-                  positions := i :: !positions;
-                  key := id :: !key
-              | None -> ()
-            done;
+            let positions, key = probe_key env a.ca_args in
             let ord = pos_ord.(j) in
             let try_fact seq (fact : Database.ifact) =
-              if Array.length fact = n then begin
-                let mark = env_mark env in
-                let ok = ref true in
-                (try
-                   for i = 0 to n - 1 do
-                     match args.(i) with
-                     | CConst id -> if id <> fact.(i) then raise Exit
-                     | CVar x ->
-                         (match env_lookup env x with
-                          | Some id -> if id <> fact.(i) then raise Exit
-                          | None -> env_bind env x fact.(i))
-                   done
-                 with Exit -> ok := false);
-                if !ok then begin
+              with_match env a.ca_args fact (fun () ->
                   keyv.(ord) <- seq;
                   (match slots with
                    | Some sl -> sl.(ord) <- (a.ca_pred, fact)
                    | None -> ());
-                  go rest
-                end;
-                env_undo env mark
-              end
+                  go rest)
             in
-            if j = delta_lit then begin
-              let group = dg_lookup dg ~arity:n !positions !key in
-              st.cur.c_probes <- st.cur.c_probes + List.length group;
-              List.iter (fun (i, f) -> try_fact i f) group
-            end
+            if j = delta_lit then
+              (* a probe counts the source facts agreeing with the bound
+                 positions (the driving literal leads, so only its
+                 constants are bound) — what a hash probe of the source
+                 would return *)
+              drive a.ca_pred (fun seq (fact : Database.ifact) ->
+                  if
+                    Array.length fact = Array.length a.ca_args
+                    && List.for_all2 (fun i id -> fact.(i) = id) positions key
+                  then begin
+                    st.cur.c_probes <- st.cur.c_probes + 1;
+                    try_fact seq fact
+                  end)
             else
-              let examined =
-                Database.iter_matches_i st.db a.ca_pred !positions !key
-                  try_fact
-              in
-              st.cur.c_probes <- st.cur.c_probes + examined
-        | CNeg a ->
-            (* a ground id from the worker's scratch table cannot name a
-               stored value, so [mem_i] correctly reports absence *)
-            let fact = ground_atom env a in
-            if not (Database.mem_i st.db a.ca_pred fact) then continue ()
-        | CCond e -> if Expr.truthy_fn (env_value st env) e then continue ()
-        | CAssign (x, e) ->
-            let v = Expr.eval_fn (env_value st env) e in
-            let id = value_id st v in
-            (match env_lookup env x with
-             | Some id' -> if id = id' then continue ()
-             | None ->
-                 let mark = env_mark env in
-                 env_bind env x id;
-                 continue ();
-                 env_undo env mark)
+              st.cur.c_probes <-
+                st.cur.c_probes
+                + Database.iter_matches_i st.db a.ca_pred positions key
+                    try_fact
         | CAgg _ ->
-            Kgm_error.reason_error "aggregate rule on the worker pool (engine bug)")
+            Kgm_error.reason_error "aggregate rule on the worker pool (engine bug)"
+        | lit -> eval_filter st env lit (fun () -> go rest))
   in
   go order
 
 (* Runs on a worker domain: read-only on the frozen database, all
-   mutable state (env, counters, trail, delta index) is local to the
-   item. *)
+   mutable state (env, counters, trail) is local to the item. *)
 let eval_work_item (main : run_state) (w : work_item) : work_result =
   let t0 = Kgm_telemetry.Clock.now () in
   let ctr = fresh_ctr () in
   let st =
     { db = main.db; opts = main.opts; added = 0;
       agg_states = Hashtbl.create 1;
-      prov = main.prov;  (* only consulted as a capture-the-trail flag *)
-      sup = main.sup;    (* likewise *)
+      sup = main.sup;  (* only consulted as a capture-the-trail flag *)
       on_agg = None; agg_notes = [];  (* aggregates never run on workers *)
       trail_preds = [||]; trail_facts = [||]; trail_len = 0;
       fact_trail = [];
@@ -1572,46 +1482,53 @@ let eval_work_item (main : run_state) (w : work_item) : work_result =
     body;
   let keyv = Array.make (max 1 !n_pos) 0 in
   let slots =
-    if Option.is_some main.prov || Option.is_some main.sup then
-      Some (Array.make (max 1 !n_pos) ("", [||]))
+    if Option.is_some main.sup then Some (Array.make (max 1 !n_pos) ("", [||]))
     else None
   in
-  let dg = delta_group ~offset:w.w_offset w.w_facts in
+  let drive pred f =
+    match w.w_src with
+    | Chunk (facts, lo, hi) ->
+        for i = lo to hi - 1 do
+          f i facts.(i)
+        done
+    | Range (lo, hi) -> Database.iter_range st.db pred ~lo ~hi f
+  in
   let buf = ref [] in
   let env = env_create () in
-  eval_planned st env prep ~order:w.w_order ~delta_lit:w.w_lit ~dg ~keyv
-    ~pos_ord ~slots
-    ~emit:(fun () ->
-      let vals =
-        Array.map
-          (fun v ->
-            match env_lookup env v with
-            | Some id -> id
-            | None -> Kgm_error.reason_error "unbound head variable %s" v)
-          prep.needed_vars
-      in
-      (* scratch ids escaping in the candidate: ship their values so
-         the merge can re-intern them *)
-      let spill = ref [] in
-      Array.iter
-        (fun id ->
-          if id < 0 && not (List.mem_assoc id !spill) then
-            spill := (id, Intern.Scratch.resolve st.sc id) :: !spill)
-        vals;
-      let parents =
-        match slots with
-        | Some sl -> Array.fold_left (fun acc s -> s :: acc) [] sl
-        | None -> []
-      in
-      buf :=
-        { cd_vals = vals; cd_key = Array.copy keyv; cd_parents = parents;
-          cd_spill = List.rev !spill }
-        :: !buf);
+  guard_eval prep (fun () ->
+      eval_planned st env prep ~order:w.w_order ~delta_lit:w.w_lit ~drive ~keyv
+        ~pos_ord ~slots
+        ~emit:(fun () ->
+          let vals =
+            Array.map
+              (fun v ->
+                match env_lookup env v with
+                | Some id -> id
+                | None -> Kgm_error.reason_error "unbound head variable %s" v)
+              prep.needed_vars
+          in
+          (* scratch ids escaping in the candidate: ship their values so
+             the merge can re-intern them *)
+          let spill = ref [] in
+          Array.iter
+            (fun id ->
+              if id < 0 && not (List.mem_assoc id !spill) then
+                spill := (id, Intern.Scratch.resolve st.sc id) :: !spill)
+            vals;
+          let parents =
+            match slots with
+            | Some sl -> Array.fold_left (fun acc s -> s :: acc) [] sl
+            | None -> []
+          in
+          buf :=
+            { cd_vals = vals; cd_key = Array.copy keyv; cd_parents = parents;
+              cd_spill = List.rev !spill }
+            :: !buf));
   { wr_cands = List.rev !buf; wr_probes = ctr.c_probes;
     wr_time = Kgm_telemetry.Clock.now () -. t0 }
 
 (* Merge phase: rebind a candidate's head variables and fire as usual
-   (chase check, null invention, provenance) against the live store. *)
+   (chase check, null invention, support) against the live store. *)
 let fire_candidate st env (prep : prepared) cand ~on_new =
   let mark = env_mark env in
   (* sequential: re-intern the worker's scratch values (in the
@@ -1637,53 +1554,86 @@ let fire_candidate st env (prep : prepared) cand ~on_new =
   st.fact_trail <- [];
   env_undo env mark
 
-let eval_delta_round st pool (rules : prepared list) ~use_planner ~cancel
-    ~tok_status ~retries ~current ~on_new =
+(* The literal a whole-store round drives a rule from: with the planner,
+   the positive literal over the fewest live facts (ties keep the
+   written order); without it, the first positive literal. [None] for
+   bodies without a positive literal. The other literals follow in
+   written order: over whole relations the planner's per-anchor
+   estimates are least reliable, and a greedy order measured worse than
+   the written one (exp6's DESCFROM rule: 850 probes vs 697). *)
+let driving_literal ~use_planner ~count (r : Rule.rule) =
+  let best = ref None in
+  List.iteri
+    (fun i lit ->
+      match lit, !best with
+      | Rule.Pos (a : Rule.atom), None -> best := Some (i, a.Rule.pred)
+      | Rule.Pos a, Some (_, p)
+        when use_planner && count a.Rule.pred < count p ->
+          best := Some (i, a.Rule.pred)
+      | _ -> ())
+    r.Rule.body;
+  !best
+
+let eval_round st pool (rules : prepared list) ~input ~use_planner ~cancel
+    ~tok_status ~retries ~on_new =
   (* 1. deterministic (rule, literal, chunk) work-item order; results
      are chunking-invariant (the merge sorts each (rule, literal) group
      on insertion-seq vectors), so the chunk size is free to follow the
-     pool size for load balancing. One body plan per (rule, delta
+     pool size for load balancing. One body plan per (rule, driving
      literal), recomputed here from the live cardinalities of this
      round boundary; with the planner off every item evaluates in
-     written order. *)
-  let planner_on = use_planner in
+     written order behind its driving literal. *)
+  let count p = Database.count st.db p in
+  let delta_of pred =
+    match input with
+    | Whole -> None
+    | Delta current -> Hashtbl.find_opt current pred
+  in
   let plans : (int * int, Planner.plan) Hashtbl.t = Hashtbl.create 16 in
+  let driven = Hashtbl.create 16 in  (* rules matched on the pool *)
   let items = ref [] in
+  let add_items (prep : prepared) i plan ~len src =
+    Hashtbl.replace plans (prep.rule_id, i) plan;
+    Hashtbl.replace driven prep.rule_id ();
+    let chunk = Kgm_pool.chunk_size_for pool ~len in
+    for c = 0 to ((len + chunk - 1) / chunk) - 1 do
+      let lo = c * chunk in
+      let hi = min len (lo + chunk) in
+      items :=
+        { w_prep = prep; w_lit = i; w_order = plan.Planner.order;
+          w_weight = plan.Planner.cost * (hi - lo); w_src = src lo hi }
+        :: !items
+    done
+  in
   List.iter
     (fun (prep : prepared) ->
       if not prep.has_agg then
-        List.iteri
-          (fun i lit ->
-            match lit with
-            | Rule.Pos (a : Rule.atom) -> (
-                match Hashtbl.find_opt current a.Rule.pred with
-                | Some fl ->
-                    let facts = Array.of_list (List.rev !fl) in
-                    let len = Array.length facts in
-                    let plan =
-                      if planner_on then
-                        Planner.plan_rule
-                          ~count:(fun p -> Database.count st.db p)
-                          ~delta_lit:i prep.rule
-                      else Planner.written ~delta_lit:i prep.rule
-                    in
-                    Hashtbl.replace plans (prep.rule_id, i) plan;
-                    let chunk = Kgm_pool.chunk_size_for pool ~len in
-                    let n_chunks = (len + chunk - 1) / chunk in
-                    for c = 0 to n_chunks - 1 do
-                      let lo = c * chunk in
-                      let sz = min chunk (len - lo) in
-                      items :=
-                        { w_prep = prep; w_lit = i;
-                          w_order = plan.Planner.order;
-                          w_weight = plan.Planner.cost * sz;
-                          w_facts = Array.to_list (Array.sub facts lo sz);
-                          w_offset = lo }
-                        :: !items
-                    done
-                | None -> ())
-            | _ -> ())
-          prep.rule.Rule.body)
+        match input with
+        | Whole ->
+            if st.opts.semi_naive then
+              Option.iter
+                (fun (i, pred) ->
+                  add_items prep i
+                    (Planner.written ~delta_lit:i prep.rule)
+                    ~len:(count pred)
+                    (fun lo hi -> Range (lo, hi)))
+                (driving_literal ~use_planner ~count prep.rule)
+        | Delta _ ->
+            List.iteri
+              (fun i lit ->
+                match lit with
+                | Rule.Pos (a : Rule.atom) ->
+                    Option.iter
+                      (fun facts ->
+                        add_items prep i
+                          (if use_planner then
+                             Planner.plan_rule ~count ~delta_lit:i prep.rule
+                           else Planner.written ~delta_lit:i prep.rule)
+                          ~len:(Array.length facts)
+                          (fun lo hi -> Chunk (facts, lo, hi)))
+                      (delta_of a.Rule.pred)
+                | _ -> ())
+              prep.rule.Rule.body)
     rules;
   let items = Array.of_list (List.rev !items) in
   if Journal.enabled st.jr then
@@ -1721,23 +1671,14 @@ let eval_delta_round st pool (rules : prepared list) ~use_planner ~cancel
     else begin
       (* build exactly the indexes the items will probe: every plan —
          planned or written-order — records its probe patterns along
-         its own evaluation order (the delta literal never probes the
-         store). With the planner off the pure written-order
-         predictions are prepared as well. *)
+         its own evaluation order (the driving literal never probes the
+         store) *)
       Hashtbl.iter
         (fun _ (p : Planner.plan) ->
           List.iter
             (fun (pred, pat) -> Database.prepare_index st.db pred pat)
             p.Planner.patterns)
         plans;
-      if not planner_on then
-        List.iter
-          (fun (prep : prepared) ->
-            if not prep.has_agg then
-              List.iter
-                (fun (pred, pat) -> Database.prepare_index st.db pred pat)
-                prep.index_patterns)
-          rules;
       Database.freeze st.db;
       let t0 = Kgm_telemetry.Clock.now () in
       let results =
@@ -1753,7 +1694,7 @@ let eval_delta_round st pool (rules : prepared list) ~use_planner ~cancel
                      empty_result
                    end
                    else
-                     Kgm_resilience.Retry.with_backoff ~attempts:3
+                     Kgm_resilience.Retry.with_backoff ~attempts:5
                        ~base_s:0.0005 ~cancel
                        ~on_retry:(fun ~attempt exn ->
                          Atomic.incr retries;
@@ -1778,86 +1719,79 @@ let eval_delta_round st pool (rules : prepared list) ~use_planner ~cancel
     end
   in
   if Atomic.get aborted then raise Round_aborted;
-  let pairs = List.combine (Array.to_list items) results in
-  if Journal.enabled st.jr then
-    List.iter
-      (fun ((w : work_item), (r : work_result)) ->
+  (* results grouped per (rule, driving literal), each group released
+     as soon as the sweep has fired it *)
+  let groups : (int * int, work_result list ref) Hashtbl.t = Hashtbl.create 16 in
+  List.iteri
+    (fun k (r : work_result) ->
+      let w = items.(k) in
+      if Journal.enabled st.jr then begin
+        let lo, hi = source_bounds w.w_src in
         Journal.emit st.jr "chunk"
           [ ("round", J.Int st.round);
             ("rule", J.Str w.w_prep.head_label);
             ("delta_lit", J.Int w.w_lit);
-            ("offset", J.Int w.w_offset);
-            ("size", J.Int (List.length w.w_facts));
+            ("offset", J.Int lo);
+            ("size", J.Int (hi - lo));
             ("candidates", J.Int (List.length r.wr_cands));
             ("probes", J.Int r.wr_probes);
-            ("time_s", J.Float r.wr_time) ])
-      pairs;
+            ("time_s", J.Float r.wr_time) ]
+      end;
+      let key = (w.w_prep.rule_id, w.w_lit) in
+      match Hashtbl.find_opt groups key with
+      | Some rs -> rs := r :: !rs
+      | None -> Hashtbl.add groups key (ref [ r ]))
+    results;
   (* 3. sequential merge sweep in program order *)
   List.iter
     (fun (prep : prepared) ->
-      if prep.has_agg then
-        (* order-sensitive: evaluate directly against the live store, in
-           written order (the delta still probes through a hash index) *)
-        List.iteri
-          (fun i lit ->
-            match lit with
-            | Rule.Pos (a : Rule.atom) -> (
-                match Hashtbl.find_opt current a.Rule.pred with
-                | Some fl ->
-                    eval_rule st prep
-                      ~delta:(Some (i, delta_group (List.rev !fl)))
-                      ~on_new
-                | None -> ())
-            | _ -> ())
-          prep.rule.Rule.body
-      else begin
-        let ctr = st.ctrs.(prep.rule_id) in
-        st.cur <- ctr;
-        let t0 = Kgm_telemetry.Clock.now () in
-        let before = st.added in
-        let env = env_create () in
-        (* per delta literal (ascending): gather every chunk's
-           candidates and fire them sorted on the insertion-seq vectors
-           — the written-order emission sequence over the whole round
-           delta, independent of chunking and of the evaluation plan *)
-        List.iteri
-          (fun i lit ->
-            match lit with
-            | Rule.Pos _ ->
-                let cands = ref [] in
-                List.iter
-                  (fun ((w : work_item), (r : work_result)) ->
-                    if w.w_prep.rule_id = prep.rule_id && w.w_lit = i then begin
+      match input with
+      | Whole when not (Hashtbl.mem driven prep.rule_id) ->
+          eval_rule st prep ~delta:None ~on_new
+      | Delta _ when prep.has_agg ->
+          (* order-sensitive: evaluate directly against the live store,
+             in written order (the delta still probes through a hash
+             index) *)
+          List.iteri
+            (fun i lit ->
+              match lit with
+              | Rule.Pos (a : Rule.atom) ->
+                  Option.iter
+                    (fun facts ->
+                      eval_rule st prep ~delta:(Some (i, delta_group facts))
+                        ~on_new)
+                    (delta_of a.Rule.pred)
+              | _ -> ())
+            prep.rule.Rule.body
+      | _ ->
+          let ctr = st.ctrs.(prep.rule_id) in
+          st.cur <- ctr;
+          let t0 = Kgm_telemetry.Clock.now () in
+          let before = st.added in
+          let env = env_create () in
+          (* per driving literal (ascending): gather every chunk's
+             candidates and fire them sorted on the insertion-seq
+             vectors — the written-order emission sequence over the
+             whole source, independent of chunking and of the plan *)
+          List.iteri
+            (fun i _ ->
+              match Hashtbl.find_opt groups (prep.rule_id, i) with
+              | Some rs ->
+                  Hashtbl.remove groups (prep.rule_id, i);
+                  let cands = ref [] in
+                  List.iter
+                    (fun (r : work_result) ->
                       ctr.c_probes <- ctr.c_probes + r.wr_probes;
                       ctr.c_time <- ctr.c_time +. r.wr_time;
-                      cands := List.rev_append r.wr_cands !cands
-                    end)
-                  pairs;
-                if !cands <> [] then begin
+                      cands := List.rev_append r.wr_cands !cands)
+                    !rs;
                   let arr = Array.of_list !cands in
+                  cands := [];
                   Array.sort compare_candidates arr;
                   Array.iter (fun c -> fire_candidate st env prep c ~on_new) arr
-                end
-            | _ -> ())
-          prep.rule.Rule.body;
-        let t1 = Kgm_telemetry.Clock.now () in
-        ctr.c_time <- ctr.c_time +. (t1 -. t0);
-        if Kgm_telemetry.enabled st.tele then begin
-          Kgm_telemetry.observe st.tele "engine.rule_eval_s" (t1 -. t0);
-          if st.added > before then
-            Kgm_telemetry.record_span st.tele ~cat:"rule"
-              ~args:
-                [ ("fired", string_of_int (st.added - before));
-                  ("round", string_of_int st.round) ]
-              ("rule:" ^ prep.head_label) ~start:t0 ~stop:t1
-        end;
-        if Journal.enabled st.jr && st.added > before then
-          Journal.emit st.jr "rule.batch"
-            [ ("round", J.Int st.round);
-              ("rule", J.Str prep.head_label);
-              ("derived", J.Int (st.added - before));
-              ("time_s", J.Float (t1 -. t0)) ]
-      end)
+              | None -> ())
+            prep.cbody;
+          finish_rule st prep ~t0 ~before)
     rules
 
 (* ------------------------------------------------------------------ *)
@@ -1867,7 +1801,7 @@ let eval_delta_round st pool (rules : prepared list) ~use_planner ~cancel
    engine serializes its complete semi-naive state to a versioned
    snapshot: the fact store in per-predicate insertion order, the
    current delta, the global null counter, per-rule counters, aggregate
-   states, provenance, and the (stratum, round) position. Resuming
+   states, the derivation support, and the (stratum, round) position. Resuming
    restores all of it and re-enters the strata loop at the saved
    position, so a resumed run replays the exact rounds an uninterrupted
    run would have executed — facts, null numbering and per-rule counters
@@ -1905,7 +1839,8 @@ type ck_payload = {
   p_fingerprint : string;  (* digest of the program text: a checkpoint
                               only resumes the program that wrote it *)
   p_stratum : int;
-  p_round0_done : bool;    (* false = the stratum's full round is pending *)
+  p_round0_done : bool;    (* false = the stratum's whole-store first
+                              round is pending *)
   p_rounds : int;
   p_deltas : int list;     (* reverse chronological, as the loop keeps it *)
   p_added : int;
@@ -1916,7 +1851,10 @@ type ck_payload = {
   p_delta : (string * Database.ifact list) list;
   p_ctrs : rule_ctr array;
   p_agg : (int * agg_state) list;
-  p_prov : ((string * Value.t list) * derivation) list option;
+  p_prov : unit option;
+      (* the retired first-derivation table: always written [None] and
+         ignored on read (Marshal is shape-based and the field is never
+         inspected, so older snapshots carrying one still load) *)
   p_sup : support option;
       (* v2: the full derivation support, so a resumed run stays
          incrementally maintainable and explain-able. Pure data
@@ -1940,7 +1878,7 @@ type ck_payload_v2 = {
   q_delta : (string * Database.fact list) list;
   q_ctrs : rule_ctr array;
   q_agg : (int * agg_state) list;
-  q_prov : ((string * Value.t list) * derivation) list option;
+  q_prov : unit option;  (* as [p_prov] *)
   q_sup : support option;
 }
 
@@ -1974,14 +1912,76 @@ let support_absorb ~(into : support) (src : support) =
 let program_fingerprint program =
   Digest.to_hex (Digest.string (Rule.program_to_string program))
 
-let run ?(options = default_options) ?provenance ?support
-    ?(telemetry = Kgm_telemetry.null)
-    ?(journal = Kgm_telemetry.Journal.null)
-    ?(cancel = Kgm_resilience.Token.none) ?checkpoint ?resume_from ?on_agg
-    ?rule_ids (program : Rule.program) db =
+(* Load a snapshot and normalize it against [db]'s dictionary: v3 ids
+   are remapped through the serialized dictionary, v2 value facts are
+   interned directly. Either way the returned payload's ids are valid
+   in [db] and [p_dict] is spent. Any other version falls through to
+   the strict v3 load, whose Storage error names both versions. *)
+let load_checkpoint db ~label ~fingerprint path =
+  let kind = ck_kind label in
+  let p =
+    if Kgm_resilience.Snapshot.peek_version ~kind ~path = 2 then begin
+      let (q : ck_payload_v2) =
+        Kgm_resilience.Snapshot.load ~kind ~version:2 ~path
+      in
+      let inf = List.map (Database.intern_fact db) in
+      { p_fingerprint = q.q_fingerprint;
+        p_stratum = q.q_stratum;
+        p_round0_done = q.q_round0_done;
+        p_rounds = q.q_rounds;
+        p_deltas = q.q_deltas;
+        p_added = q.q_added;
+        p_nulls = q.q_nulls;
+        p_dict = [||];
+        p_facts = List.map (fun (pr, fl) -> (pr, inf fl)) q.q_facts;
+        p_delta = List.map (fun (pr, fl) -> (pr, inf fl)) q.q_delta;
+        p_ctrs = q.q_ctrs;
+        p_agg = q.q_agg;
+        p_prov = None;
+        p_sup = q.q_sup }
+    end
+    else begin
+      let (p : ck_payload) =
+        Kgm_resilience.Snapshot.load ~kind ~version:ck_version ~path
+      in
+      let dict = Database.dict db in
+      let remap = Array.map (fun v -> Intern.intern dict v) p.p_dict in
+      let rf = List.map (fun f -> Array.map (fun id -> remap.(id)) f) in
+      { p with
+        p_dict = [||];
+        p_facts = List.map (fun (pr, fl) -> (pr, rf fl)) p.p_facts;
+        p_delta = List.map (fun (pr, fl) -> (pr, rf fl)) p.p_delta }
+    end
+  in
+  if p.p_fingerprint <> fingerprint then
+    Kgm_error.validate_error
+      "checkpoint %s was written by a different program (fingerprint \
+       mismatch)"
+      path;
+  p
+
+(* ------------------------------------------------------------------ *)
+(* The chase loop.
+
+   [run] and [run_delta] are one restricted chase: the strata in order,
+   each iterated in rounds to its fixpoint. They differ only in what a
+   stratum's first round ranges over — the whole store for a chase from
+   scratch, the seeds plus this pass's lower-strata derivations for a
+   maintenance pass — in [run]'s checkpoint/resume, and in
+   [run_delta]'s aggregate seeding and [on_new] observer. *)
+
+type first_round =
+  | From_store
+  | From_seeds of (string * Database.fact list) list
+
+let chase ~first ~options ~support ~telemetry ~journal ~cancel ~checkpoint
+    ~resume_from ~on_new ~on_agg ~rule_ids ~agg_init (program : Rule.program)
+    db =
+  let seeded = match first with From_seeds _ -> true | From_store -> false in
+  let mode = if seeded then "delta" else "chase" in
   Kgm_telemetry.with_span telemetry ~cat:"engine"
     ~args:[ ("rules", string_of_int (List.length program.Rule.rules)) ]
-    "engine.run"
+    (if seeded then "engine.run_delta" else "engine.run")
   @@ fun () ->
   let t0 = Kgm_telemetry.Clock.now () in
   (* [options.provenance] retains the support graph even when the caller
@@ -2003,9 +2003,6 @@ let run ?(options = default_options) ?provenance ?support
   end;
   let analysis = Analysis.stratify program in
   let fingerprint = program_fingerprint program in
-  let ck_label =
-    match checkpoint with Some c -> c.ck_label | None -> "chase"
-  in
   (* a [deadline_s] option composes with whatever token the caller
      passed (which may carry its own deadline) *)
   let deadline_tok =
@@ -2018,64 +2015,22 @@ let run ?(options = default_options) ?provenance ?support
     | `Ok -> Kgm_resilience.Token.status deadline_tok
     | s -> s
   in
-  (* Load a snapshot and normalize it against [db]'s dictionary: v3 ids
-     are remapped through the serialized dictionary, v2 value facts are
-     interned directly. Either way the returned payload's ids are valid
-     in [db] and [p_dict] is spent. Any other version falls through to
-     the strict v3 load, whose Storage error names both versions. *)
-  let resume : ck_payload option =
+  let resume =
     Option.map
-      (fun path ->
-        let kind = ck_kind ck_label in
-        let p =
-          if Kgm_resilience.Snapshot.peek_version ~kind ~path = 2 then begin
-            let (q : ck_payload_v2) =
-              Kgm_resilience.Snapshot.load ~kind ~version:2 ~path
-            in
-            let inf = List.map (Database.intern_fact db) in
-            { p_fingerprint = q.q_fingerprint;
-              p_stratum = q.q_stratum;
-              p_round0_done = q.q_round0_done;
-              p_rounds = q.q_rounds;
-              p_deltas = q.q_deltas;
-              p_added = q.q_added;
-              p_nulls = q.q_nulls;
-              p_dict = [||];
-              p_facts = List.map (fun (pr, fl) -> (pr, inf fl)) q.q_facts;
-              p_delta = List.map (fun (pr, fl) -> (pr, inf fl)) q.q_delta;
-              p_ctrs = q.q_ctrs;
-              p_agg = q.q_agg;
-              p_prov = q.q_prov;
-              p_sup = q.q_sup }
-          end
-          else begin
-            let (p : ck_payload) =
-              Kgm_resilience.Snapshot.load ~kind ~version:ck_version ~path
-            in
-            let dict = Database.dict db in
-            let remap = Array.map (fun v -> Intern.intern dict v) p.p_dict in
-            let rf = List.map (fun f -> Array.map (fun id -> remap.(id)) f) in
-            { p with
-              p_dict = [||];
-              p_facts = List.map (fun (pr, fl) -> (pr, rf fl)) p.p_facts;
-              p_delta = List.map (fun (pr, fl) -> (pr, rf fl)) p.p_delta }
-          end
-        in
-        if p.p_fingerprint <> fingerprint then
-          Kgm_error.validate_error
-            "checkpoint %s was written by a different program (fingerprint \
-             mismatch)"
-            path;
-        p)
+      (load_checkpoint db ~fingerprint
+         ~label:(match checkpoint with Some c -> c.ck_label | None -> "chase"))
       resume_from
   in
-  List.iter
-    (fun (pred, args) -> ignore (Database.add db pred (Array.of_list args)))
-    program.Rule.facts;
+  (* a maintenance pass runs over a materialized store: the program's
+     facts are not loaded again *)
+  if not seeded then
+    List.iter
+      (fun (pred, args) -> ignore (Database.add db pred (Array.of_list args)))
+      program.Rule.facts;
   let n_rules = List.length program.Rule.rules in
   let st =
     { db; opts = options; added = 0; agg_states = Hashtbl.create 16;
-      prov = provenance; sup = support; on_agg; agg_notes = [];
+      sup = support; on_agg; agg_notes = [];
       trail_preds = [||]; trail_facts = [||]; trail_len = 0; fact_trail = [];
       sc = Intern.Scratch.create ();
       tele = telemetry; jr = journal;
@@ -2083,12 +2038,17 @@ let run ?(options = default_options) ?provenance ?support
       cur = fresh_ctr ();
       round = 0; trip_rule = None }
   in
+  (* counting maintenance: start monotonic aggregates from the caller's
+     saturated accumulators instead of empty groups, so a delta pass
+     neither re-counts old contributions nor misses thresholds already
+     crossed *)
+  List.iter (fun (id, s) -> Hashtbl.replace st.agg_states id s) agg_init;
   (match resume with
    | None -> ()
    | Some p ->
        (* replay the snapshot: facts in insertion order (dedup against
           whatever the caller pre-loaded), exact null counter, counters,
-          aggregate, provenance and support state *)
+          aggregate and support state *)
        List.iter
          (fun (pred, facts) ->
            List.iter (fun f -> ignore (Database.add_i db pred f)) facts)
@@ -2099,25 +2059,25 @@ let run ?(options = default_options) ?provenance ?support
          (fun i c -> if i < Array.length st.ctrs then st.ctrs.(i) <- c)
          p.p_ctrs;
        List.iter (fun (id, s) -> Hashtbl.replace st.agg_states id s) p.p_agg;
-       (match provenance, p.p_prov with
-        | Some prov, Some entries ->
-            List.iter
-              (fun (k, d) ->
-                if not (ProvTbl.mem prov k) then ProvTbl.add prov k d)
-              entries
-        | _ -> ());
        (match support, p.p_sup with
         | Some into, Some src -> support_absorb ~into src
         | _ -> ()));
   if Journal.enabled journal then
     Journal.emit journal "run.start"
-      [ ("mode", J.Str "chase");
-        ("rules", J.Int n_rules);
-        ("strata", J.Int (List.length analysis.Analysis.strata));
-        ("jobs", J.Int options.jobs);
-        ("planner", J.Bool options.planner);
-        ("provenance", J.Bool (Option.is_some support));
-        ("resumed", J.Bool (Option.is_some resume)) ];
+      ([ ("mode", J.Str mode);
+         ("rules", J.Int n_rules);
+         ("strata", J.Int (List.length analysis.Analysis.strata));
+         ("jobs", J.Int options.jobs);
+         ("planner", J.Bool options.planner);
+         ("provenance", J.Bool (Option.is_some support)) ]
+      @
+      match first with
+      | From_store -> [ ("resumed", J.Bool (Option.is_some resume)) ]
+      | From_seeds seed ->
+          [ ( "seed",
+              J.Int
+                (List.fold_left (fun acc (_, fs) -> acc + List.length fs) 0 seed)
+            ) ]);
   let prepared =
     List.mapi
       (fun i r ->
@@ -2127,14 +2087,7 @@ let run ?(options = default_options) ?provenance ?support
           (if options.reorder_body then reorder_rule ~db r else r))
       program.Rule.rules
   in
-  let stratum_of pred =
-    Option.value ~default:0 (Analysis.SMap.find_opt pred analysis.Analysis.stratum_of)
-  in
-  let rule_stratum (prep : prepared) =
-    List.fold_left
-      (fun acc (a : Rule.atom) -> max acc (stratum_of a.Rule.pred))
-      0 prep.rule.Rule.head
-  in
+  let rule_strata = Analysis.rule_strata analysis program in
   let n_strata = List.length analysis.Analysis.strata in
   if Kgm_telemetry.enabled telemetry && options.planner then begin
     Kgm_telemetry.count telemetry ~by:n_strata "planner.strata";
@@ -2177,10 +2130,7 @@ let run ?(options = default_options) ?provenance ?support
             p_agg =
               Hashtbl.fold (fun id s acc -> (id, s) :: acc) st.agg_states []
               |> List.sort compare;
-            p_prov =
-              Option.map
-                (fun prov -> ProvTbl.fold (fun k d acc -> (k, d) :: acc) prov [])
-                st.prov;
+            p_prov = None;
             p_sup = st.sup }
         in
         let path =
@@ -2216,13 +2166,31 @@ let run ?(options = default_options) ?provenance ?support
                [ ("round", J.Int !rounds); ("path", J.Str path) ])
   in
   let stopped = ref None in
+  (* maintenance deltas are tiny relative to the saturated store, so a
+     seeded pass applies the delta-first selectivity plans whatever
+     [options.planner] says: with written-order plans it would probe
+     the full closure once per seed fact (the BENCH_incremental 0.3x
+     regression). Planning is pure scheduling, so the ablation contrast
+     is confined to [run]. *)
+  let use_planner = options.planner || seeded in
+  (* everything a seeded pass derived, chronological across strata: part
+     of the first round of every later stratum (a whole-store first
+     round covers it by itself) *)
+  let derived : (string * Database.ifact) list ref = ref [] in
+  let add_fact tbl pred fact =
+    match Hashtbl.find_opt tbl pred with
+    | Some l -> l := fact :: !l
+    | None -> Hashtbl.add tbl pred (ref [ fact ])
+  in
   (* one pool for the whole run; with jobs = 1 it spawns no domains and
      Kgm_pool.run degenerates to an inline loop *)
   let pool = Kgm_pool.create (max 1 options.jobs) in
   Fun.protect ~finally:(fun () -> Kgm_pool.shutdown pool) @@ fun () ->
   (try
      for s = start_stratum to n_strata - 1 do
-       let rules_here = List.filter (fun p -> rule_stratum p = s) prepared in
+       let rules_here =
+         List.filter (fun (p : prepared) -> rule_strata.(p.rule_id) = s) prepared
+       in
        if rules_here <> [] then begin
          Kgm_telemetry.with_span telemetry ~cat:"engine"
            ~args:[ ("rules", string_of_int (List.length rules_here)) ]
@@ -2233,132 +2201,137 @@ let run ?(options = default_options) ?provenance ?support
            | Some preds -> preds
            | None -> []
          in
+         (* the stratum's derivations of the current round: the input
+            of the next one *)
          let delta : (string, Database.ifact list ref) Hashtbl.t =
            Hashtbl.create 8
          in
          let record pred fact =
-           if List.mem pred in_stratum then
-             match Hashtbl.find_opt delta pred with
-             | Some l -> l := fact :: !l
-             | None -> Hashtbl.add delta pred (ref [ fact ])
+           (* external observers stay value-level *)
+           (match on_new with
+            | Some f -> f pred (Database.resolve_fact db fact)
+            | None -> ());
+           if seeded then derived := (pred, fact) :: !derived;
+           if List.mem pred in_stratum then add_fact delta pred fact
          in
          let delta_size () =
            Hashtbl.fold (fun _ l acc -> acc + List.length !l) delta 0
          in
-         let round0_done = ref false in
+         let chronological tbl =
+           let out = Hashtbl.create 8 in
+           Hashtbl.iter
+             (fun pred l -> Hashtbl.add out pred (Array.of_list (List.rev !l)))
+             tbl;
+           out
+         in
+         let first_done = ref false in
          (match resume with
           | Some p when s = p.p_stratum ->
-              round0_done := p.p_round0_done;
+              first_done := p.p_round0_done;
               List.iter
                 (fun (pred, facts) ->
                   Hashtbl.replace delta pred (ref (List.rev facts)))
                 p.p_delta
           | _ -> ());
+         let recursive_stratum =
+           s < Array.length analysis.Analysis.recursive
+           && analysis.Analysis.recursive.(s)
+         in
+         (* what the next round ranges over; [None] at the stratum's
+            fixpoint. Stratification dividend: a non-recursive stratum
+            is an SCC group with no internal dependency edge, so none of
+            its rules reads a predicate derived in this stratum — a
+            second round could only rediscover first-round matches.
+            Under planned semi-naive evaluation that round derives
+            nothing, so it is skipped outright. (Naive mode
+            re-evaluates everything each round and is left untouched.) *)
+         let next_input () =
+           if not !first_done then
+             match first with
+             | From_store -> Some Whole
+             | From_seeds seed ->
+                 (* the caller's seeds plus the lower strata's
+                    derivations of this pass *)
+                 let tbl = Hashtbl.create 8 in
+                 List.iter
+                   (fun (pred, facts) ->
+                     List.iter
+                       (fun f -> add_fact tbl pred (Database.intern_fact db f))
+                       facts)
+                   seed;
+                 List.iter
+                   (fun (pred, fact) -> add_fact tbl pred fact)
+                   (List.rev !derived);
+                 if Hashtbl.length tbl = 0 then None
+                 else Some (Delta (chronological tbl))
+           else if Hashtbl.length delta = 0 then None
+           else if use_planner && options.semi_naive && not recursive_stratum
+           then begin
+             if Kgm_telemetry.enabled telemetry then
+               Kgm_telemetry.count telemetry "planner.rounds.skipped";
+             None
+           end
+           else if options.semi_naive then Some (Delta (chronological delta))
+           else Some Whole
+         in
          (* limit checks happen only here, at clean round boundaries;
             the "round" fault site models a crash at exactly this point *)
+         let stop_on_token () =
+           match tok_status () with
+           | `Cancelled -> raise (Stop_chase (`Cancelled, true))
+           | `Deadline -> raise (Stop_chase (`Deadline, true))
+           | `Ok -> ()
+         in
          let boundary_check () =
            Kgm_resilience.Faults.inject "round";
-           (match tok_status () with
-            | `Cancelled -> raise (Stop_chase (`Cancelled, true))
-            | `Deadline -> raise (Stop_chase (`Deadline, true))
-            | `Ok -> ());
+           stop_on_token ();
            if !rounds >= options.max_rounds then
              raise (Stop_chase (`Rounds, true))
          in
-         let maybe_checkpoint () =
-           match checkpoint with
-           | Some cfg when !rounds mod cfg.ck_every = 0 ->
-               write_checkpoint ~stratum:s ~round0_done:!round0_done delta
-           | _ -> ()
-         in
          try
-           boundary_check ();
-           let round_start () =
-             if Journal.enabled journal then
-               Journal.emit journal "round.start"
-                 [ ("stratum", J.Int s); ("round", J.Int !rounds) ]
-           in
-           let round_end delta_n =
-             if Journal.enabled journal then
-               Journal.emit journal "round.end"
-                 [ ("stratum", J.Int s);
-                   ("round", J.Int !rounds);
-                   ("delta", J.Int delta_n);
-                   ("facts", J.Int (Database.total db)) ]
-           in
-           if not !round0_done then begin
-             (* round 0: full evaluation *)
-             incr rounds;
-             st.round <- !rounds;
-             round_start ();
-             Kgm_telemetry.with_span telemetry ~cat:"round" "round" (fun () ->
-                 List.iter
-                   (fun p -> eval_rule st p ~delta:None ~on_new:record)
-                   rules_here);
-             deltas := delta_size () :: !deltas;
-             round_end (delta_size ());
-             round0_done := true;
-             maybe_checkpoint ()
-           end;
-           let continue = ref (Hashtbl.length delta > 0) in
-           (* stratification dividend: a non-recursive stratum is an SCC
-              group with no internal dependency edge, so none of its
-              rules reads a predicate derived in this stratum — the
-              delta round could only rediscover round-0 matches. Under
-              semi-naive evaluation that round derives nothing, so skip
-              it outright. (Naive mode re-evaluates everything each
-              round and is left untouched.) *)
-           let recursive_stratum =
-             s < Array.length analysis.Analysis.recursive
-             && analysis.Analysis.recursive.(s)
-           in
-           if
-             !continue && options.planner && options.semi_naive
-             && not recursive_stratum
-           then begin
-             continue := false;
-             if Kgm_telemetry.enabled telemetry then
-               Kgm_telemetry.count telemetry "planner.rounds.skipped"
-           end;
-           while !continue do
+           let input = ref (next_input ()) in
+           while Option.is_some !input do
              boundary_check ();
              incr rounds;
              st.round <- !rounds;
-             round_start ();
-             let current = Hashtbl.copy delta in
+             if Journal.enabled journal then
+               Journal.emit journal "round.start"
+                 [ ("stratum", J.Int s); ("round", J.Int !rounds) ];
+             let pending = Hashtbl.copy delta in
              Hashtbl.reset delta;
              (try
                 Kgm_telemetry.with_span telemetry ~cat:"round" "round"
                   (fun () ->
-                    if options.semi_naive then
-                      eval_delta_round st pool rules_here
-                        ~use_planner:options.planner ~cancel ~tok_status
-                        ~retries ~current ~on_new:record
-                    else
-                      (* naive: full re-evaluation; recurse only while
-                         new facts appear *)
-                      List.iter
-                        (fun p -> eval_rule st p ~delta:None ~on_new:record)
-                        rules_here)
+                    eval_round st pool rules_here ~input:(Option.get !input)
+                      ~use_planner ~cancel ~tok_status ~retries
+                      ~on_new:record)
               with Round_aborted ->
                 (* the aborted round never happened: restore its input
                    delta and stop at the previous boundary *)
                 decr rounds;
                 Hashtbl.reset delta;
-                Hashtbl.iter (fun k v -> Hashtbl.replace delta k v) current;
-                (match tok_status () with
-                 | `Cancelled -> raise (Stop_chase (`Cancelled, true))
-                 | _ -> raise (Stop_chase (`Deadline, true))));
+                Hashtbl.iter (Hashtbl.replace delta) pending;
+                stop_on_token ();
+                raise (Stop_chase (`Deadline, true)));
+             first_done := true;
              deltas := delta_size () :: !deltas;
-             round_end (delta_size ());
-             continue := Hashtbl.length delta > 0;
-             maybe_checkpoint ()
+             if Journal.enabled journal then
+               Journal.emit journal "round.end"
+                 [ ("stratum", J.Int s);
+                   ("round", J.Int !rounds);
+                   ("delta", J.Int (delta_size ()));
+                   ("facts", J.Int (Database.total db)) ];
+             (match checkpoint with
+              | Some cfg when !rounds mod cfg.ck_every = 0 ->
+                  write_checkpoint ~stratum:s ~round0_done:true delta
+              | _ -> ());
+             input := next_input ()
            done
          with Stop_chase (l, clean) ->
            (* a clean stop is a round boundary: capture it so a later
               [~resume_from] continues exactly where this run stopped *)
            if clean then
-             write_checkpoint ~stratum:s ~round0_done:!round0_done delta;
+             write_checkpoint ~stratum:s ~round0_done:!first_done delta;
            raise (Stop_chase (l, clean))
        end
      done
@@ -2400,7 +2373,7 @@ let run ?(options = default_options) ?provenance ?support
   in
   if Journal.enabled journal then
     Journal.emit journal "run.end"
-      [ ("mode", J.Str "chase");
+      [ ("mode", J.Str mode);
         ("rounds", J.Int stats.rounds);
         ("new_facts", J.Int stats.new_facts);
         ("facts", J.Int (Database.total db));
@@ -2453,314 +2426,41 @@ let run ?(options = default_options) ?provenance ?support
    | _ -> ());
   stats
 
-(* ------------------------------------------------------------------ *)
-(* Seeded semi-naive pass for incremental maintenance.
+let run ?(options = default_options) ?support
+    ?(telemetry = Kgm_telemetry.null)
+    ?(journal = Kgm_telemetry.Journal.null)
+    ?(cancel = Kgm_resilience.Token.none) ?checkpoint ?resume_from ?on_agg
+    ?rule_ids program db =
+  chase ~first:From_store ~options ~support ~telemetry ~journal ~cancel
+    ~checkpoint ~resume_from ~on_new:None ~on_agg ~rule_ids ~agg_init:[]
+    program db
 
-   Precondition: [db] already holds a chase fixpoint plus a batch of
-   new extensional facts, and [seed] lists exactly the facts that are
-   new since that fixpoint (the inserted batch, the maintenance
-   layer's re-fire seeds). The pass runs ONLY delta rounds — no
-   round-0 full evaluation — per stratum: the first round of each
-   stratum ranges over the seeds plus whatever earlier strata of this
-   same pass derived, subsequent rounds over the stratum's own delta
-   exactly as in [run]. Under semi-naive completeness this derives
-   precisely the consequences of the seeds, which is what makes
-   maintenance cost proportional to the delta instead of the
-   database. Everything else — the planner's delta-first plans, the
-   pool's parallel rounds, the schedule-independent merge order, the
-   budget/deadline machinery — is shared with [run], so the
-   determinism invariants carry over unchanged. *)
-let run_delta ?(options = default_options) ?provenance ?support
+(* Seeded pass for incremental maintenance: [db] holds a chase fixpoint
+   plus a batch of new facts, and [seed] lists exactly the facts new
+   since that fixpoint. Every stratum's first round ranges over the
+   seeds plus what earlier strata of this pass derived, so under
+   semi-naive completeness the pass derives precisely the consequences
+   of the seeds, at a cost proportional to the delta. *)
+let run_delta ?(options = default_options) ?support
     ?(telemetry = Kgm_telemetry.null)
     ?(journal = Kgm_telemetry.Journal.null)
     ?(cancel = Kgm_resilience.Token.none) ?on_new ?on_agg ?rule_ids
-    ?(agg_init = []) (program : Rule.program) db
-    ~(seed : (string * Database.fact list) list) =
-  Kgm_telemetry.with_span telemetry ~cat:"engine"
-    ~args:[ ("rules", string_of_int (List.length program.Rule.rules)) ]
-    "engine.run_delta"
-  @@ fun () ->
-  let t0 = Kgm_telemetry.Clock.now () in
-  let support =
-    match support with
-    | Some _ -> support
-    | None -> if options.provenance then Some (create_support ()) else None
-  in
-  (match Analysis.safety_report program with
-   | [] -> ()
-   | errs ->
-       Kgm_error.validate_error "unsafe program:@ %s" (String.concat "; " errs));
-  let analysis = Analysis.stratify program in
-  let deadline_tok =
-    match options.deadline_s with
-    | Some d -> Kgm_resilience.Token.create ~deadline_s:d ()
-    | None -> Kgm_resilience.Token.none
-  in
-  let tok_status () =
-    match Kgm_resilience.Token.status cancel with
-    | `Ok -> Kgm_resilience.Token.status deadline_tok
-    | s -> s
-  in
-  let n_rules = List.length program.Rule.rules in
-  let st =
-    { db; opts = options; added = 0; agg_states = Hashtbl.create 16;
-      prov = provenance; sup = support; on_agg; agg_notes = [];
-      trail_preds = [||]; trail_facts = [||]; trail_len = 0; fact_trail = [];
-      sc = Intern.Scratch.create ();
-      tele = telemetry; jr = journal;
-      ctrs = Array.init (max 1 n_rules) (fun _ -> fresh_ctr ());
-      cur = fresh_ctr ();
-      round = 0; trip_rule = None }
-  in
-  (* counting maintenance: start monotonic aggregates from the caller's
-     saturated accumulators instead of empty groups, so a delta pass
-     neither re-counts old contributions nor misses thresholds already
-     crossed *)
-  List.iter (fun (id, s) -> Hashtbl.replace st.agg_states id s) agg_init;
-  if Journal.enabled journal then
-    Journal.emit journal "run.start"
-      [ ("mode", J.Str "delta");
-        ("rules", J.Int n_rules);
-        ("strata", J.Int (List.length analysis.Analysis.strata));
-        ("jobs", J.Int options.jobs);
-        ("planner", J.Bool options.planner);
-        ("provenance", J.Bool (Option.is_some support));
-        ( "seed",
-          J.Int
-            (List.fold_left (fun acc (_, fs) -> acc + List.length fs) 0 seed)
-        ) ];
-  let prepared =
-    List.mapi
-      (fun i r ->
-        prepare
-          ?rid:(Option.map (fun a -> a.(i)) rule_ids)
-          (Database.dict db) i
-          (if options.reorder_body then reorder_rule ~db r else r))
-      program.Rule.rules
-  in
-  let stratum_of pred =
-    Option.value ~default:0
-      (Analysis.SMap.find_opt pred analysis.Analysis.stratum_of)
-  in
-  let rule_stratum (prep : prepared) =
-    List.fold_left
-      (fun acc (a : Rule.atom) -> max acc (stratum_of a.Rule.pred))
-      0 prep.rule.Rule.head
-  in
-  let n_strata = List.length analysis.Analysis.strata in
-  let rounds = ref 0 in
-  let deltas = ref [] in
-  let retries = Atomic.make 0 in
-  let stopped = ref None in
-  (* everything this pass derived, chronological across strata: part of
-     the first-round delta of every later stratum (in [run] the round-0
-     full evaluation covers this; here nothing else would) *)
-  let new_facts : (string * Database.ifact) list ref = ref [] in
-  let pool = Kgm_pool.create (max 1 options.jobs) in
-  Fun.protect ~finally:(fun () -> Kgm_pool.shutdown pool) @@ fun () ->
-  (try
-     for s = 0 to n_strata - 1 do
-       let rules_here = List.filter (fun p -> rule_stratum p = s) prepared in
-       if rules_here <> [] then begin
-         let in_stratum =
-           match List.nth_opt analysis.Analysis.strata s with
-           | Some preds -> preds
-           | None -> []
-         in
-         let delta : (string, Database.ifact list ref) Hashtbl.t =
-           Hashtbl.create 8
-         in
-         let record pred fact =
-           (* external observers stay value-level *)
-           (match on_new with
-            | Some f -> f pred (Database.resolve_fact db fact)
-            | None -> ());
-           new_facts := (pred, fact) :: !new_facts;
-           if List.mem pred in_stratum then
-             match Hashtbl.find_opt delta pred with
-             | Some l -> l := fact :: !l
-             | None -> Hashtbl.add delta pred (ref [ fact ])
-         in
-         let delta_size () =
-           Hashtbl.fold (fun _ l acc -> acc + List.length !l) delta 0
-         in
-         let boundary_check () =
-           (match tok_status () with
-            | `Cancelled -> raise (Stop_chase (`Cancelled, true))
-            | `Deadline -> raise (Stop_chase (`Deadline, true))
-            | `Ok -> ());
-           if !rounds >= options.max_rounds then
-             raise (Stop_chase (`Rounds, true))
-         in
-         (* first round of the stratum: caller seeds + earlier strata's
-            derivations of this pass (fact lists are kept reversed, the
-            convention [eval_delta_round] expects) *)
-         let initial : (string, Database.ifact list ref) Hashtbl.t =
-           Hashtbl.create 8
-         in
-         let put pred fact =
-           match Hashtbl.find_opt initial pred with
-           | Some l -> l := fact :: !l
-           | None -> Hashtbl.add initial pred (ref [ fact ])
-         in
-         List.iter
-           (fun (pred, facts) ->
-             List.iter (fun f -> put pred (Database.intern_fact db f)) facts)
-           seed;
-         List.iter (fun (pred, fact) -> put pred fact) (List.rev !new_facts);
-         let recursive_stratum =
-           s < Array.length analysis.Analysis.recursive
-           && analysis.Analysis.recursive.(s)
-         in
-         let pending = ref initial in
-         while Hashtbl.length !pending > 0 do
-           boundary_check ();
-           incr rounds;
-           st.round <- !rounds;
-           if Journal.enabled journal then
-             Journal.emit journal "round.start"
-               [ ("stratum", J.Int s); ("round", J.Int !rounds) ];
-           let current = !pending in
-           (try
-              Kgm_telemetry.with_span telemetry ~cat:"round" "round"
-                (fun () ->
-                  (* maintenance deltas are tiny relative to the
-                     saturated store, so the delta-first selectivity
-                     plans are applied unconditionally: with the planner
-                     off, written-order plans probe the full closure
-                     once per seed fact (the BENCH_incremental 0.3x
-                     regression). Planning is pure scheduling — outputs
-                     are unchanged — so the ablation contrast is
-                     confined to [run]. *)
-                  eval_delta_round st pool rules_here ~use_planner:true
-                    ~cancel ~tok_status ~retries ~current ~on_new:record)
-            with Round_aborted ->
-              decr rounds;
-              (match tok_status () with
-               | `Cancelled -> raise (Stop_chase (`Cancelled, true))
-               | _ -> raise (Stop_chase (`Deadline, true))));
-           deltas := delta_size () :: !deltas;
-           if Journal.enabled journal then
-             Journal.emit journal "round.end"
-               [ ("stratum", J.Int s);
-                 ("round", J.Int !rounds);
-                 ("delta", J.Int (delta_size ()));
-                 ("facts", J.Int (Database.total db)) ];
-           let next = Hashtbl.copy delta in
-           Hashtbl.reset delta;
-           (* stratification dividend, as in [run]: after its seeded
-              round a non-recursive stratum cannot refire itself (this
-              pass is always semi-naive, so the skip is unconditional
-              too) *)
-           if (not recursive_stratum) && Hashtbl.length next > 0 then begin
-             Hashtbl.reset next;
-             if Kgm_telemetry.enabled telemetry then
-               Kgm_telemetry.count telemetry "planner.rounds.skipped"
-           end;
-           pending := next
-         done
-       end
-     done
-   with Stop_chase (l, clean) ->
-     stopped := Some l;
-     if Journal.enabled journal then
-       Journal.emit journal "limit.stop"
-         [ ("limit", J.Str (limit_name l));
-           ("clean", J.Bool clean);
-           ("round", J.Int !rounds) ]);
-  let per_rule =
-    List.map
-      (fun (prep : prepared) ->
-        let c = st.ctrs.(prep.rule_id) in
-        { rs_id = prep.rule_id;
-          rs_rule = Format.asprintf "%a" Rule.pp_rule prep.rule;
-          rs_label = prep.head_label;
-          rs_firings = c.c_firings;
-          rs_matches = c.c_matches;
-          rs_probes = c.c_probes;
-          rs_nulls = c.c_nulls;
-          rs_chase_hits = c.c_hits;
-          rs_chase_misses = c.c_misses;
-          rs_time_s = c.c_time })
-      prepared
-  in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 per_rule in
-  let stats =
-    { rounds = !rounds;
-      new_facts = st.added;
-      elapsed_s = Kgm_telemetry.Clock.now () -. t0;
-      delta_sizes = List.rev !deltas;
-      nulls_invented = sum (fun r -> r.rs_nulls);
-      chase_hits = sum (fun r -> r.rs_chase_hits);
-      chase_misses = sum (fun r -> r.rs_chase_misses);
-      per_rule;
-      stopped = !stopped;
-      support = st.sup }
-  in
-  if Journal.enabled journal then
-    Journal.emit journal "run.end"
-      [ ("mode", J.Str "delta");
-        ("rounds", J.Int stats.rounds);
-        ("new_facts", J.Int stats.new_facts);
-        ("facts", J.Int (Database.total db));
-        ("elapsed_s", J.Float stats.elapsed_s);
-        ( "stopped",
-          match stats.stopped with
-          | Some l -> J.Str (limit_name l)
-          | None -> J.Null ) ];
-  if Kgm_telemetry.enabled telemetry then begin
-    Kgm_telemetry.count telemetry ~by:stats.new_facts "engine.facts.new";
-    Kgm_telemetry.count telemetry ~by:stats.rounds "engine.rounds";
-    let r = Atomic.get retries in
-    if r > 0 then
-      Kgm_telemetry.count telemetry ~by:r "resilience.worker.retries";
-    match stats.stopped with
-    | Some l -> Kgm_telemetry.count telemetry ("engine.stopped." ^ limit_name l)
-    | None -> ()
-  end;
-  (match !stopped, options.on_limit with
-   | Some l, `Raise ->
-       let ctx =
-         (match st.trip_rule with Some r -> [ ("rule", r) ] | None -> [])
-         @ [ ("round", string_of_int !rounds) ]
-       in
-       (match l with
-        | `Facts ->
-            Kgm_error.reason_error_ctx ctx
-              "fact budget exceeded (%d facts): non-terminating chase?"
-              options.max_facts
-        | `Rounds -> Kgm_error.reason_error_ctx ctx "round budget exceeded"
-        | `Deadline -> Kgm_error.reason_error_ctx ctx "deadline exceeded"
-        | `Cancelled ->
-            Kgm_error.reason_error_ctx
-              (("interrupted", "cancelled") :: ctx)
-              "interrupted")
-   | _ -> ());
-  stats
+    ?(agg_init = []) program db ~seed =
+  chase ~first:(From_seeds seed) ~options ~support ~telemetry ~journal ~cancel
+    ~checkpoint:None ~resume_from:None ~on_new ~on_agg ~rule_ids ~agg_init
+    program db
 
 (* Human-readable planning report: what [run] would decide for
    [program] over the current contents of [db] — the strata in
-   execution order with their recursion flags, and for every rule of a
-   recursive stratum the join order chosen for each in-stratum delta
-   literal. Cardinalities are read live from [db], so load the input
-   facts before asking for the report. *)
+   execution order with their recursion flags, and for every rule the
+   driving literal and join order of its whole-store first round, plus,
+   in a recursive stratum, the join order chosen for each in-stratum
+   delta literal. Cardinalities are read live from [db], so load the
+   input facts before asking for the report. *)
 let pp_plan_report ?(options = default_options) ppf (program : Rule.program) db
     =
   let analysis = Analysis.stratify program in
-  let stratum_of pred =
-    Option.value ~default:0
-      (Analysis.SMap.find_opt pred analysis.Analysis.stratum_of)
-  in
-  let rules =
-    List.map
-      (fun r -> if options.reorder_body then reorder_rule ~db r else r)
-      program.Rule.rules
-  in
-  let rule_stratum (r : Rule.rule) =
-    List.fold_left
-      (fun acc (a : Rule.atom) -> max acc (stratum_of a.Rule.pred))
-      0 r.Rule.head
-  in
+  let rule_strata = Analysis.rule_strata analysis program in
   let count = Database.count db in
   List.iteri
     (fun s preds ->
@@ -2771,17 +2471,26 @@ let pp_plan_report ?(options = default_options) ppf (program : Rule.program) db
       Format.fprintf ppf "stratum %d%s: %s@." s
         (if recursive then " (recursive)" else "")
         (String.concat ", " preds);
-      List.iter
-        (fun (r : Rule.rule) ->
-          if rule_stratum r = s then begin
+      List.iteri
+        (fun k (r : Rule.rule) ->
+          if rule_strata.(k) = s then begin
+            let r = if options.reorder_body then reorder_rule ~db r else r in
+            let pp_plan label i plan =
+              Format.fprintf ppf "    %s: %a@." label
+                (Planner.pp ~delta_lit:i r) plan
+            in
+            let has_agg =
+              List.exists (function Rule.Agg _ -> true | _ -> false) r.Rule.body
+            in
             Format.fprintf ppf "  %a@." Rule.pp_rule r;
+            if not has_agg then
+              Option.iter
+                (fun (i, _) ->
+                  pp_plan "first round" i (Planner.written ~delta_lit:i r))
+                (driving_literal ~use_planner:options.planner ~count r);
             if not recursive then
               Format.fprintf ppf "    single round (non-recursive stratum)@."
-            else if
-              List.exists
-                (function Rule.Agg _ -> true | _ -> false)
-                r.Rule.body
-            then
+            else if has_agg then
               Format.fprintf ppf
                 "    written order (aggregate rule: emission order is \
                  semantic)@."
@@ -2790,26 +2499,24 @@ let pp_plan_report ?(options = default_options) ppf (program : Rule.program) db
                 (fun i lit ->
                   match lit with
                   | Rule.Pos (a : Rule.atom) when List.mem a.Rule.pred preds ->
-                      let plan =
-                        if options.planner then
-                          Planner.plan_rule ~count ~delta_lit:i r
-                        else Planner.written ~delta_lit:i r
-                      in
-                      Format.fprintf ppf "    delta %s[%d]: %a@." a.Rule.pred i
-                        (Planner.pp ~delta_lit:i r)
-                        plan
+                      pp_plan
+                        (Printf.sprintf "delta %s[%d]" a.Rule.pred i)
+                        i
+                        (if options.planner then
+                           Planner.plan_rule ~count ~delta_lit:i r
+                         else Planner.written ~delta_lit:i r)
                   | _ -> ())
                 r.Rule.body
           end)
-        rules)
+        program.Rule.rules)
     analysis.Analysis.strata
 
-let run_program ?options ?provenance ?support ?telemetry ?journal ?cancel
-    ?checkpoint ?resume_from program =
+let run_program ?options ?support ?telemetry ?journal ?cancel ?checkpoint
+    ?resume_from program =
   let db = Database.create () in
   let stats =
-    run ?options ?provenance ?support ?telemetry ?journal ?cancel ?checkpoint
-      ?resume_from program db
+    run ?options ?support ?telemetry ?journal ?cancel ?checkpoint ?resume_from
+      program db
   in
   (db, stats)
 

@@ -39,10 +39,14 @@ type options = {
   planner : bool;
       (** cost-aware chase planning (on by default). Non-recursive
           strata (no dependency edge inside their SCC group) complete
-          after round 0, so their empty delta round is skipped; in delta
-          rounds each (rule, delta literal) body is re-planned at the
-          round boundary from live predicate cardinalities and evaluated
-          most-selective-first, probing the delta through a hash index.
+          after their first round, so their empty follow-up round is
+          skipped. In a stratum's whole-store first round each rule is
+          driven from its positive literal over the fewest live facts
+          (the first positive literal without the planner), the rest of
+          the body following in written order; in delta rounds each
+          (rule, delta literal) body is re-planned at the round
+          boundary from live predicate cardinalities and evaluated
+          most-selective-first behind the delta literal.
           Pure scheduling: the merge sorts complete matches back into
           the written-order emission sequence on fact insertion
           sequences, so derived facts, their insertion order,
@@ -56,9 +60,9 @@ type options = {
   check_wardedness : bool;
       (** reject programs that fail {!Analysis.wardedness} *)
   jobs : int;
-      (** worker domains for semi-naive delta rounds (1 = fully
+      (** worker domains for semi-naive rounds (1 = fully
           sequential). Body matching runs on a frozen snapshot of the
-          store; firing (dedup, chase check, null invention, provenance)
+          store; firing (dedup, chase check, null invention, support)
           stays sequential in a schedule-independent order, so results —
           including labeled-null numbering and per-rule statistics — are
           identical for every jobs value *)
@@ -134,32 +138,10 @@ type rule_stats = {
   rs_time_s : float;       (** monotonic time evaluating the rule *)
 }
 
-(** {1 Provenance} *)
+(** {1 Derivation support (maintenance and explanation)}
 
-type derivation = {
-  via_rule : string;  (** the firing rule, pretty-printed *)
-  parents : (string * Kgm_common.Value.t array) list;
-      (** the body facts that matched when the fact was first derived *)
-}
-
-type provenance
-
-val create_provenance : unit -> provenance
-(** Pass to {!run} to record the first derivation of every derived
-    fact. *)
-
-val explain : provenance -> string -> Database.fact -> derivation option
-(** [None] for ground (loaded) facts. *)
-
-val pp_derivation_tree :
-  provenance -> Format.formatter -> string * Database.fact -> unit
-(** The whole derivation tree down to ground facts. *)
-
-(** {1 Derivation support (incremental maintenance)}
-
-    {!provenance} records the {e first} derivation of each fact —
-    enough to explain it, not enough to maintain it. A [support]
-    records the full derivation structure delete-and-rederive needs:
+    A [support] records the full derivation structure
+    delete-and-rederive needs, and that {!explain_tree} walks:
     every derivation of every derived fact (a fact whose first
     derivation dies may survive through an alternative one), the
     labeled nulls each firing invented (a null's creating derivation
@@ -357,14 +339,22 @@ val explain_tree_to_string : explain_tree -> string
 (** {1 Running programs} *)
 
 val run :
-  ?options:options -> ?provenance:provenance -> ?support:support ->
+  ?options:options -> ?support:support ->
   ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t ->
   ?cancel:Kgm_resilience.Token.t ->
   ?checkpoint:checkpoint -> ?resume_from:string ->
   ?on_agg:(agg_event -> unit) -> ?rule_ids:int array ->
   Rule.program -> Database.t -> stats
 (** Load the program's facts into the database and chase its rules to
-    fixpoint, stratum by stratum.
+    fixpoint, stratum by stratum. A stratum's first round ranges over
+    the whole store as of its start: every rule without an aggregate is
+    driven from exactly one positive literal over that literal's whole
+    relation (see [options.planner]) and matched on the worker pool
+    against the frozen store, like every later round; rules with an
+    aggregate or without a positive literal, and every round of a
+    naive chase, evaluate sequentially at their program position in the
+    merge. Later rounds range over the previous round's derivations.
+    Facts derived within a round become visible to the next one.
 
     [on_agg] observes monotonic-aggregate evaluation (see
     {!agg_event}); pure observation, like [journal]. [rule_ids]
@@ -374,9 +364,11 @@ val run :
     pipeline into sub-programs pass the rules' pipeline-wide ids so
     the shared support stays unambiguous. Raises [Kgm_error.Error]:
     [Validate] on unsafe or unstratifiable programs (or unwarded ones
-    when [check_wardedness]), [Reason] on exceeded budgets (with the
+    when [check_wardedness]); [Reason] on exceeded budgets (with the
     offending rule and round — and the final checkpoint path, when one
-    was written — in the error context) unless [on_limit] is [`Partial].
+    was written — in the error context) unless [on_limit] is [`Partial];
+    [Reason] on a failing expression (division by zero, an unknown
+    builtin), with the evaluation message and the rule in the context.
 
     [cancel] is polled cooperatively (round boundaries, pool workers):
     cancelling it stops the run at the previous round boundary, as
@@ -411,12 +403,14 @@ val pp_plan_report :
 (** Explain what the planner would decide for [program] over the
     current contents of the database (load the input facts first —
     cardinalities are read live): the strata in execution order with
-    their recursion flags, and for each rule of a recursive stratum the
-    join order chosen for every in-stratum delta literal. Diagnostic
+    their recursion flags; for each rule without an aggregate, the
+    driving literal and join order of its first round; and for each
+    rule of a recursive stratum the join order chosen for every
+    in-stratum delta literal. Diagnostic
     only; nothing is evaluated and the database is not modified. *)
 
 val run_program :
-  ?options:options -> ?provenance:provenance -> ?support:support ->
+  ?options:options -> ?support:support ->
   ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t ->
   ?cancel:Kgm_resilience.Token.t ->
   ?checkpoint:checkpoint -> ?resume_from:string ->
@@ -424,7 +418,7 @@ val run_program :
 (** [run] on a fresh database. *)
 
 val run_delta :
-  ?options:options -> ?provenance:provenance -> ?support:support ->
+  ?options:options -> ?support:support ->
   ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t ->
   ?cancel:Kgm_resilience.Token.t ->
   ?on_new:(string -> Database.fact -> unit) ->
@@ -441,10 +435,11 @@ val run_delta :
     [db] already holds a chase fixpoint of [program] plus a batch of
     new extensional facts, and [seed] lists exactly the facts that are
     new since that fixpoint (already present in [db]; they are {e not}
-    re-inserted). Runs {e only} delta rounds — no round-0 full
-    evaluation: per stratum, the first round ranges over the seeds
-    plus whatever earlier strata of this same pass derived, later
-    rounds over the stratum's own delta exactly as in {!run}. By
+    re-inserted). The same chase loop as {!run}, except for what a
+    stratum's first round ranges over: the seeds plus whatever earlier
+    strata of this same pass derived, instead of the whole store;
+    later rounds range over the stratum's own delta exactly as in
+    {!run}. By
     semi-naive completeness this derives precisely the consequences of
     the seeds, at a cost proportional to the delta rather than the
     database. The planner's delta-first plans, the worker pool, the
@@ -456,9 +451,10 @@ val run_delta :
     ablates {!run}. Seeded passes are delta rounds by construction;
     probing the whole closure per seed through written-order plans made
     planner-off maintenance slower than a re-chase (0.32–0.36×), and
-    since the planner is pure scheduling there is nothing to ablate. [program]'s fact list is ignored;
-    checkpointing is not supported here ({!Incremental} states are
-    cheap to rebuild from a fresh chase). *)
+    since the planner is pure scheduling there is nothing to ablate.
+    [program]'s fact list is ignored; checkpointing is not supported
+    here ({!Incremental} states are cheap to rebuild from a fresh
+    chase). *)
 
 val query : Database.t -> string -> Database.fact list
 (** Facts of a predicate (insertion order). *)

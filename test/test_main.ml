@@ -16,6 +16,7 @@ let () =
       ("incremental", Test_incremental.suite);
       ("parallel", Test_parallel.suite);
       ("planner", Test_planner.suite);
+      ("oracle", Test_oracle.suite);
       ("resilience", Test_resilience.suite);
       ("server", Test_server.suite);
       ("observability", Test_observability.suite);

@@ -292,8 +292,11 @@ let test_engine_counters_deterministic () =
   let _, s1 = run_warded () in
   let _, s2 = run_warded () in
   check Alcotest.int "new_facts" 6 s1.V.Engine.new_facts;
-  check Alcotest.int "rounds" 2 s1.V.Engine.rounds;
-  check (Alcotest.list Alcotest.int) "delta sizes" [ 6; 0 ]
+  (* the first round matches against the store as of its start: the
+     three emp facts its mgr firings invent surface in round 2, and
+     round 3 finds every image already present *)
+  check Alcotest.int "rounds" 3 s1.V.Engine.rounds;
+  check (Alcotest.list Alcotest.int) "delta sizes" [ 3; 3; 0 ]
     s1.V.Engine.delta_sizes;
   check Alcotest.int "nulls invented" 3 s1.V.Engine.nulls_invented;
   check Alcotest.int "chase hits" 3 s1.V.Engine.chase_hits;
@@ -351,10 +354,10 @@ let test_stats_merge () =
   let _, s = run_warded () in
   let m = V.Engine.merge_stats s s in
   check Alcotest.int "facts add" 12 m.V.Engine.new_facts;
-  check Alcotest.int "rounds add" 4 m.V.Engine.rounds;
+  check Alcotest.int "rounds add" 6 m.V.Engine.rounds;
   check Alcotest.int "nulls add" 6 m.V.Engine.nulls_invented;
   check Alcotest.int "per-rule concat" 4 (List.length m.V.Engine.per_rule);
-  check (Alcotest.list Alcotest.int) "delta concat" [ 6; 0; 6; 0 ]
+  check (Alcotest.list Alcotest.int) "delta concat" [ 3; 3; 0; 3; 3; 0 ]
     m.V.Engine.delta_sizes
 
 let test_budget_error_context () =

@@ -483,35 +483,45 @@ let suite =
 (* Provenance and @output *)
 
 let test_provenance () =
-  let prov = V.Engine.create_provenance () in
   let p = V.Parser.parse_program
       {| edge(a, b). edge(b, c).
          tc(X, Y) :- edge(X, Y).
          tc(X, Z) :- tc(X, Y), edge(Y, Z). |}
   in
-  let db, _ = V.Engine.run_program ~provenance:prov p in
-  ignore db;
+  let options = { V.Engine.default_options with V.Engine.provenance = true } in
+  let _, stats = V.Engine.run_program ~options p in
+  let sup =
+    match stats.V.Engine.support with
+    | Some sup -> sup
+    | None -> Alcotest.fail "provenance retains no support"
+  in
+  let explain pred args =
+    (V.Engine.explain_tree sup p pred (Array.of_list (List.map Value.string args)))
+      .V.Engine.et_node
+  in
   (* ground facts have no derivation *)
   check Alcotest.bool "ground" true
-    (V.Engine.explain prov "edge" [| Value.string "a"; Value.string "b" |] = None);
+    (explain "edge" [ "a"; "b" ] = V.Engine.Ground);
   (* one-step derivation *)
-  (match V.Engine.explain prov "tc" [| Value.string "a"; Value.string "b" |] with
-   | Some d ->
-       check Alcotest.int "one parent" 1 (List.length d.V.Engine.parents);
+  (match explain "tc" [ "a"; "b" ] with
+   | V.Engine.Derived d ->
+       check Alcotest.int "one parent" 1 (List.length d.V.Engine.ed_premises);
        check Alcotest.bool "via base rule" true
-         (String.length d.V.Engine.via_rule > 0)
-   | None -> Alcotest.fail "missing derivation");
+         (String.length d.V.Engine.ed_rule > 0)
+   | _ -> Alcotest.fail "missing derivation");
   (* two-step derivation: parents are tc(a,b) and edge(b,c) *)
-  (match V.Engine.explain prov "tc" [| Value.string "a"; Value.string "c" |] with
-   | Some d ->
-       let names = List.map fst d.V.Engine.parents |> List.sort compare in
+  (match explain "tc" [ "a"; "c" ] with
+   | V.Engine.Derived d ->
+       let names =
+         List.map (fun t -> t.V.Engine.et_pred) d.V.Engine.ed_premises
+         |> List.sort compare
+       in
        check (Alcotest.list Alcotest.string) "parents" [ "edge"; "tc" ] names
-   | None -> Alcotest.fail "missing derivation");
+   | _ -> Alcotest.fail "missing derivation");
   (* the tree renders down to ground facts *)
   let tree =
-    Format.asprintf "%a"
-      (V.Engine.pp_derivation_tree prov)
-      ("tc", [| Value.string "a"; Value.string "c" |])
+    V.Engine.explain_tree_to_string
+      (V.Engine.explain_tree sup p "tc" [| Value.string "a"; Value.string "c" |])
   in
   check Alcotest.bool "tree mentions ground" true
     (String.length tree > 40)
@@ -632,17 +642,40 @@ let test_builtin_coverage () =
   check Alcotest.bool "arith on columns" true (facts db "yr" = ints [ [ 2023 ] ]);
   check Alcotest.int "pair/fst" 1 (List.length (facts db "pr"))
 
+(* An expression that fails to evaluate is a Reason error carrying the
+   evaluation message and naming the rule — in a stratum's first round
+   and in a delta round, on the worker path (jobs 1 and 2) and on the
+   sequential one (naive mode). *)
+let expect_eval_error ~msg src =
+  List.iter
+    (fun (jobs, semi_naive) ->
+      let options =
+        { V.Engine.default_options with V.Engine.jobs; semi_naive }
+      in
+      let tag = Printf.sprintf "jobs=%d semi_naive=%b" jobs semi_naive in
+      match Kgm_error.guard (fun () -> run ~options src) with
+      | Error { Kgm_error.stage = Kgm_error.Reason; message; context } ->
+          check Alcotest.string (tag ^ ": message") msg message;
+          check Alcotest.bool (tag ^ ": context names the rule") true
+            (List.mem_assoc "rule" context)
+      | Error e -> Alcotest.failf "%s: unexpected error %s" tag (Kgm_error.to_string e)
+      | Ok _ -> Alcotest.failf "%s: evaluation error accepted" tag)
+    [ (1, true); (2, true); (1, false) ]
+
+let delta_round_src expr =
+  Printf.sprintf
+    "e(1, 2). e(2, 3). t(X, Z) :- t(X, Y), e(Y, Z), W = %s. t(X, Y) :- e(X, Y)."
+    expr
+
 let test_division_by_zero () =
-  try
-    ignore (run "p(1). q(X) :- p(X), Y = X / 0.");
-    Alcotest.fail "expected division error"
-  with V.Expr.Eval_error _ -> ()
+  expect_eval_error ~msg:"division by zero" "p(1). q(X) :- p(X), Y = X / 0.";
+  expect_eval_error ~msg:"division by zero" (delta_round_src "Z / 0")
 
 let test_unknown_builtin () =
-  (try
-     ignore (run "p(1). q(X) :- p(X), Y = frobnicate(X).");
-     Alcotest.fail "unknown builtin accepted"
-   with V.Expr.Eval_error _ -> ())
+  expect_eval_error ~msg:"unknown builtin frobnicate/1"
+    "p(1). q(X) :- p(X), Y = frobnicate(X).";
+  expect_eval_error ~msg:"unknown builtin frobnicate/1"
+    (delta_round_src "frobnicate(Z)")
 
 let test_precedence () =
   let db, _ = run
