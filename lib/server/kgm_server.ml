@@ -781,10 +781,12 @@ let handle_explain t body =
       let fact = Array.of_list args in
       with_lock t.writer_mu (fun () ->
           let sup = Inc.support t.session in
+          (* recording ids run on across phases ([pm_rid_base + j]), so
+             the rule table is every phase's rules in phase order *)
           let program =
-            match Inc.phases t.session with
-            | ph :: _ -> ph
-            | [] -> R.empty_program
+            { R.empty_program with
+              R.rules =
+                List.concat_map (fun ph -> ph.R.rules) (Inc.phases t.session) }
           in
           let buf = Buffer.create 256 in
           if not (DB.mem (Inc.db t.session) pred fact) then

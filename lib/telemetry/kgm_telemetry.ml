@@ -266,21 +266,28 @@ let summary t =
          hs);
   Buffer.contents buf
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* keys and most values are plain identifiers: those come back as they
+   are, without a copy *)
 let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if not (String.exists needs_escape s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
 
 let chrome_trace ?(process_name = "kgmodel") t =
   let buf = Buffer.create 4096 in
@@ -425,12 +432,27 @@ module Json = struct
     | Arr of t list
     | Obj of (string * t) list
 
+  (* the C formatter [Printf] itself ends in, minus its format
+     interpretation — the journal formats two floats per event *)
+  external format_float : string -> float -> string = "caml_format_float"
+
+  (* [%.12g] round-trips only a value with at most 12 significant
+     digits, whose scaling to 12-14 integer digits is then an integer
+     up to rounding error (< 0.05 at that magnitude); a scaling
+     visibly off an integer has more digits, and the attempt is skipped
+     — the journal's timings almost always take this branch *)
   let float_repr f =
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.1f" f
-    else
-      let s = Printf.sprintf "%.12g" f in
-      if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    if Float.is_integer f && Float.abs f < 1e15 then format_float "%.1f" f
+    else begin
+      let a = Float.abs f in
+      let e = Float.to_int (Float.floor (Float.log10 a)) in
+      let scaled = a *. (10. ** Float.of_int (12 - e)) in
+      if Float.abs (scaled -. Float.round scaled) > 0.1 then
+        format_float "%.17g" f
+      else
+        let s = format_float "%.12g" f in
+        if float_of_string s = f then s else format_float "%.17g" f
+    end
 
   let rec print buf = function
     | Null -> Buffer.add_string buf "null"

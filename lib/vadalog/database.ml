@@ -78,6 +78,21 @@ end
 
 module IFactTbl = Hashtbl.Make (IFact)
 
+(* The store's fact identity across predicates. *)
+module FactId = struct
+  type t = string * ifact
+
+  let equal (p, f) (q, g) = String.equal p q && IFact.equal f g
+
+  let compare (p, f) (q, g) =
+    let c = String.compare p q in
+    if c <> 0 then c else compare (f : ifact) g
+
+  let hash (p, f) = (IFact.hash f * 31) + Hashtbl.hash p
+end
+
+module FactTbl = Hashtbl.Make (FactId)
+
 (* Growable array of ascending insertion sequences (index postings). *)
 type postings = { mutable p_seq : int array; mutable p_len : int }
 
@@ -103,11 +118,12 @@ type t = {
   dict : Intern.t;
   mutable total : int;
   mutable frozen : bool;
+  mutable removals : int;  (* remove_batch sweeps that removed facts *)
 }
 
 let create ?dict () =
   let dict = match dict with Some d -> d | None -> Intern.create () in
-  { preds = Hashtbl.create 64; dict; total = 0; frozen = false }
+  { preds = Hashtbl.create 64; dict; total = 0; frozen = false; removals = 0 }
 
 let dict t = t.dict
 let intern_fact t (f : fact) : ifact = Array.map (Intern.intern t.dict) f
@@ -252,26 +268,21 @@ let remove_batch ?on_remove t facts =
   (* group the doomed facts per predicate, dedup'd via a probe table *)
   let by_pred : (string, unit IFactTbl.t) Hashtbl.t = Hashtbl.create 8 in
   List.iter
-    (fun (pred, fact) ->
-      match find_fact t fact with
-      | None -> ()
-      | Some ifact ->
-          if mem_i t pred ifact then begin
-            let set =
-              match Hashtbl.find_opt by_pred pred with
-              | Some s -> s
-              | None ->
-                  let s = IFactTbl.create 16 in
-                  Hashtbl.add by_pred pred s;
-                  s
-            in
-            IFactTbl.replace set ifact ()
-          end)
+    (fun (pred, ifact) ->
+      if mem_i t pred ifact then begin
+        let set =
+          match Hashtbl.find_opt by_pred pred with
+          | Some s -> s
+          | None ->
+              let s = IFactTbl.create 16 in
+              Hashtbl.add by_pred pred s;
+              s
+        in
+        IFactTbl.replace set ifact ()
+      end)
     facts;
   let notify pred ifact =
-    match on_remove with
-    | Some f -> f pred (resolve_fact t ifact)
-    | None -> ()
+    match on_remove with Some f -> f pred ifact | None -> ()
   in
   let removed = ref 0 in
   Hashtbl.iter
@@ -311,7 +322,10 @@ let remove_batch ?on_remove t facts =
               (fun positions -> ignore (build_index s positions))
               patterns)
     by_pred;
+  if !removed > 0 then t.removals <- t.removals + 1;
   !removed
+
+let removals t = t.removals
 
 let freeze t = t.frozen <- true
 let thaw t = t.frozen <- false
@@ -375,6 +389,14 @@ let iter_matches_i t pred positions key f =
             done;
             n
         | None -> each_posting (build_index s positions))
+
+let nth_i t pred =
+  match Hashtbl.find_opt t.preds pred with
+  | Some s ->
+      fun seq ->
+        if seq < 0 || seq >= s.count then invalid_arg "Database.nth_i";
+        s.arr.(seq)
+  | None -> fun _ -> invalid_arg "Database.nth_i"
 
 let iter_range t pred ~lo ~hi f =
   match Hashtbl.find_opt t.preds pred with

@@ -16,8 +16,9 @@ type ifact = int array
 
 module KeyTbl : Hashtbl.S with type key = Value.t list
 (** Hash tables keyed by value tuples, consistent with
-    {!Value.equal}/{!Value.hash} — use for any fact-keyed state (the
-    engine's aggregation groups, provenance, ...). *)
+    {!Value.equal}/{!Value.hash} — for state that must survive a change
+    of dictionary (the engine's aggregation groups and contributor
+    keys, which checkpoints serialize as values). *)
 
 module IKeyTbl : Hashtbl.S with type key = int list
 (** Hash tables keyed by interned probe keys (id tuples). *)
@@ -25,6 +26,23 @@ module IKeyTbl : Hashtbl.S with type key = int list
 module IFactTbl : Hashtbl.S with type key = ifact
 (** Hash tables keyed by interned facts (pointwise int equality,
     multiplicative hash over the ids). *)
+
+(** The store's fact identity: predicate and interned tuple. Two ids
+    are equal exactly when the facts are (the dictionary is a
+    bijection), so derivation support and incremental maintenance key
+    on it directly. *)
+module FactId : sig
+  type t = string * ifact
+
+  val equal : t -> t -> bool
+  val compare : t -> t -> int
+  (** Predicate name, then arity, then ids pointwise — a total order on
+      ids, unrelated to {!Value.compare}. *)
+
+  val hash : t -> int
+end
+
+module FactTbl : Hashtbl.S with type key = FactId.t
 
 type t
 
@@ -113,14 +131,20 @@ val iter_matches_i :
 (** {!iter_matches} over interned facts and an id-encoded key — the
     engine's hot probe path (no per-fact decoding). *)
 
+val nth_i : t -> string -> int -> ifact
+(** [nth_i t pred] reads [pred]'s facts by insertion sequence (the
+    [seq] {!iter_matches_i} reports); apply it to [pred] once, then to
+    any number of sequences. Raises [Invalid_argument] on a sequence
+    out of range. *)
+
 val iter_range : t -> string -> lo:int -> hi:int -> (int -> ifact -> unit) -> unit
 (** [iter_range t pred ~lo ~hi f] calls [f seq ifact] for the facts of
     [pred] with insertion sequence [lo <= seq < hi], ascending — the
     store read in place, no copy (frozen-safe). *)
 
 val remove_batch :
-  ?on_remove:(string -> fact -> unit) -> t -> (string * fact) list -> int
-(** [remove_batch t facts] deletes every listed (pred, fact) pair that
+  ?on_remove:(string -> ifact -> unit) -> t -> (string * ifact) list -> int
+(** [remove_batch t facts] deletes every listed (pred, ifact) pair that
     is present; returns how many facts were removed (duplicates counted
     once). Affected predicate stores are rebuilt in one sweep: the
     survivors keep their relative insertion order, are renumbered
@@ -135,6 +159,11 @@ val remove_batch :
     layers use it to keep derived state (aggregate group logs, caches)
     in step with the store. Raises [Invalid_argument] on a frozen
     database. *)
+
+val removals : t -> int
+(** How many {!remove_batch} calls removed something: insertion
+    sequences read before and after a change of this count do not
+    name the same facts. *)
 
 (** {1 Freezing (parallel read phases)}
 

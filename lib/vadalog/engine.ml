@@ -120,86 +120,106 @@ type rule_stats = {
    the null and everything carrying it), and the restricted-chase
    checks that SUPPRESSED an invention (when the homomorphic image that
    satisfied the check dies, the suppressed firing must be re-attempted
-   — it may now invent). [Incremental] drives all of this; the
-   structure is transparent in the interface because the maintenance
-   layer walks and prunes it in place. *)
+   — it may now invent). [Incremental] drives all of this, walking and
+   pruning the indexes in place.
 
-(* keyed consistently with Value.equal/Value.hash, like the fact store *)
-module ProvTbl = Hashtbl.Make (struct
-  type t = string * Value.t list
+   Facts are named by the store's own identity, (predicate, interned
+   tuple). The chase records from its sequential merge, once per
+   derivation, so recording is an append to a log and nothing more:
+   [sync] drains the log into the indexes, and every reader of the
+   support ([support_index], [explain_tree], the checkpoint writer)
+   calls it first. *)
 
-  let equal (p, k) (p', k') = String.equal p p' && List.equal Value.equal k k'
-  let hash (p, k) = Hashtbl.hash (p, List.map Value.hash k)
-end)
-
-let fact_equal (a : Database.fact) (b : Database.fact) =
-  Array.length a = Array.length b
-  &&
-  let n = Array.length a in
-  let rec go i = i >= n || (Value.equal a.(i) b.(i) && go (i + 1)) in
-  go 0
-
-let compare_fact (a : Database.fact) (b : Database.fact) =
-  let c = Int.compare (Array.length a) (Array.length b) in
-  if c <> 0 then c
-  else
-    let n = Array.length a in
-    let rec go i =
-      if i >= n then 0
-      else
-        let c = Value.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
-
-let parent_equal (p, f) (p', f') = String.equal p p' && fact_equal f f'
-
-let compare_parent (p, f) (p', f') =
-  let c = String.compare p p' in
-  if c <> 0 then c else compare_fact f f'
-
-(* parents are stored sorted and dedup'd: the trail order differs
-   between the sequential and the worker evaluation paths, and DRed
-   only needs the SET of body facts a firing consumed *)
-let canonical_parents ps = List.sort_uniq compare_parent ps
+module FactId = Database.FactId
+module FactTbl = Database.FactTbl
 
 type support_entry = {
-  se_rule : int;  (* rule id within its program (informational) *)
-  se_parents : (string * Database.fact) list;  (* canonical order *)
+  se_rule : int;  (* recording id of the firing rule *)
+  se_parents : FactId.t list;  (* canonical order: sorted, dedup'd *)
   se_nulls : int list;  (* labeled nulls this firing invented *)
 }
 
 type suppressed_firing = {
   sf_rule : int;
-  sf_parents : (string * Database.fact) list;  (* canonical order *)
-  sf_image : (string * Database.fact) list;
+  sf_parents : FactId.t list;  (* canonical order *)
+  sf_image : FactId.t list;
       (* the homomorphic image that satisfied the head check *)
 }
 
-type support = {
-  sup_entries : support_entry list ref ProvTbl.t;
+(* a suppressed firing's identity: rule and canonical parents *)
+module FiringTbl = Hashtbl.Make (struct
+  type t = int * FactId.t list
+
+  let equal (r, ps) (r', ps') = r = r' && List.equal FactId.equal ps ps'
+
+  let hash (r, ps) =
+    List.fold_left (fun h p -> (h * 31) + FactId.hash p) r ps
+end)
+
+type support_index = {
+  sx_entries : support_entry list ref FactTbl.t;
       (* derived fact -> its derivations, most recent first *)
-  sup_children : (string * Database.fact) list ref ProvTbl.t;
-      (* body fact -> head facts with an entry consuming it (the
-         reverse edges the overdeletion cone walks); may hold
-         duplicates and stale (pruned) children — consumers dedup *)
-  sup_null_origin : (int, (string * Database.fact) list) Hashtbl.t;
+  sx_children : FactId.t list ref FactTbl.t;
+      (* body fact -> the facts with an entry consuming it, once each:
+         the reverse edges the overdeletion cone walks *)
+  sx_null_origin : (int, FactId.t list) Hashtbl.t;
       (* null id -> parents of its creating derivation *)
-  sup_null_facts : (int, (string * Database.fact) list ref) Hashtbl.t;
+  sx_null_facts : (int, FactId.t list ref) Hashtbl.t;
       (* null id -> facts whose tuple carries the null *)
-  mutable sup_suppressed : suppressed_firing list;
+  mutable sx_suppressed : suppressed_firing list;
       (* reverse recording order *)
-  sup_suppressed_keys :
-    (int * (string * Value.t list) list, unit) Hashtbl.t;
+  sx_suppressed_keys : unit FiringTbl.t;
+}
+
+(* What a run of logged derivations shares: the rule's recording id
+   and how to read its parents back — per positive body literal, the
+   predicate and a reader from the sequence number the match recorded
+   to the fact (the store's insertion sequence, or a position in the
+   round's delta). *)
+type origin = {
+  o_rule : int;
+  o_ppreds : string array;
+  o_read : (int -> Database.ifact) array;
+}
+
+(* The derivation log, newest first: one small block per derivation,
+   allocated young and linked through [prev], its parents left as the
+   candidate's own sequence vector — the cheapest thing the merge can
+   do. Sequence numbers stay valid until facts are removed, so the log
+   must be drained before a removal ([sup_removals] checks it). *)
+type logged =
+  | Log_start
+  | Logged of {
+      origin : origin;
+      pred : string;
+      fact : Database.ifact;
+      fresh : bool;  (* the firing inserted the fact *)
+      nulls : int list;
+      key : int array;  (* parent i is [origin.o_read.(i) key.(i)] *)
+      prev : logged;
+    }
+
+type support = {
+  mutable sup_log : logged;  (* derivations not yet indexed *)
+  mutable sup_suppressed_log : suppressed_firing list;
+      (* suppressed firings not yet indexed, newest first *)
+  mutable sup_db : Database.t;  (* the store the ids and sequences index *)
+  mutable sup_removals : int;  (* its removal count when the log began *)
+  sup_ix : support_index;
 }
 
 let create_support () =
-  { sup_entries = ProvTbl.create 1024;
-    sup_children = ProvTbl.create 1024;
-    sup_null_origin = Hashtbl.create 64;
-    sup_null_facts = Hashtbl.create 64;
-    sup_suppressed = [];
-    sup_suppressed_keys = Hashtbl.create 64 }
+  { sup_log = Log_start;
+    sup_suppressed_log = [];
+    sup_db = Database.create ~dict:(Intern.create ~size:1 ()) ();
+    sup_removals = 0;
+    sup_ix =
+      { sx_entries = FactTbl.create 1024;
+        sx_children = FactTbl.create 1024;
+        sx_null_origin = Hashtbl.create 64;
+        sx_null_facts = Hashtbl.create 64;
+        sx_suppressed = [];
+        sx_suppressed_keys = FiringTbl.create 64 } }
 
 let rec value_nulls acc = function
   | Value.Null k -> k :: acc
@@ -209,66 +229,134 @@ let rec value_nulls acc = function
 let fact_nulls (f : Database.fact) =
   Array.fold_left value_nulls [] f |> List.sort_uniq Int.compare
 
-let support_entries sup pred fact =
-  match ProvTbl.find_opt sup.sup_entries (pred, Array.to_list fact) with
-  | Some r -> !r
-  | None -> []
+let ifact_nulls dict (f : Database.ifact) =
+  Array.fold_left (fun acc id -> value_nulls acc (Intern.resolve dict id)) [] f
+  |> List.sort_uniq Int.compare
 
-let support_record sup ~rule_id ~parents ~nulls pred fact =
-  let parents = canonical_parents parents in
-  let key = (pred, Array.to_list fact) in
+(* parents are indexed sorted and dedup'd: the trail order differs
+   between the sequential and the worker evaluation paths, and DRed
+   only needs the SET of body facts a firing consumed *)
+let canonical ps = List.sort_uniq FactId.compare ps
+
+let consumes entries p =
+  List.exists (fun e -> List.exists (FactId.equal p) e.se_parents) entries
+
+let push tbl k v =
+  match Hashtbl.find_opt tbl k with
+  | Some r -> r := v :: !r
+  | None -> Hashtbl.add tbl k (ref [ v ])
+
+let index_derivation sup fact ~is_new (e : support_entry) =
+  let ix = sup.sup_ix in
+  if is_new then
+    List.iter (fun n -> push ix.sx_null_facts n fact)
+      (ifact_nulls (Database.dict sup.sup_db) (snd fact));
+  let e = { e with se_parents = canonical e.se_parents } in
   let entries =
-    match ProvTbl.find_opt sup.sup_entries key with
+    match FactTbl.find_opt ix.sx_entries fact with
     | Some r -> r
     | None ->
         let r = ref [] in
-        ProvTbl.add sup.sup_entries key r;
+        FactTbl.add ix.sx_entries fact r;
         r
   in
   let dup =
     List.exists
-      (fun e ->
-        e.se_rule = rule_id && List.equal parent_equal e.se_parents parents)
+      (fun e' ->
+        e'.se_rule = e.se_rule && List.equal FactId.equal e'.se_parents e.se_parents)
       !entries
   in
   if not dup then begin
-    entries :=
-      { se_rule = rule_id; se_parents = parents; se_nulls = nulls } :: !entries;
     List.iter
-      (fun (pp, pf) ->
-        let ck = (pp, Array.to_list pf) in
-        match ProvTbl.find_opt sup.sup_children ck with
-        | Some r -> r := (pred, fact) :: !r
-        | None -> ProvTbl.add sup.sup_children ck (ref [ (pred, fact) ]))
-      parents;
+      (fun p ->
+        if not (consumes !entries p) then
+          match FactTbl.find_opt ix.sx_children p with
+          | Some r -> r := fact :: !r
+          | None -> FactTbl.add ix.sx_children p (ref [ fact ]))
+      e.se_parents;
+    entries := e :: !entries;
     List.iter
       (fun n ->
-        if not (Hashtbl.mem sup.sup_null_origin n) then
-          Hashtbl.add sup.sup_null_origin n parents)
-      nulls
+        if not (Hashtbl.mem ix.sx_null_origin n) then
+          Hashtbl.add ix.sx_null_origin n e.se_parents)
+      e.se_nulls
   end
 
-(* called once per NEW fact: index which nulls its tuple carries *)
-let support_index_fact sup pred fact =
-  List.iter
-    (fun n ->
-      match Hashtbl.find_opt sup.sup_null_facts n with
-      | Some r -> r := (pred, fact) :: !r
-      | None -> Hashtbl.add sup.sup_null_facts n (ref [ (pred, fact) ]))
-    (fact_nulls fact)
+let index_suppressed sup (sf : suppressed_firing) =
+  let ix = sup.sup_ix in
+  let parents = canonical sf.sf_parents in
+  let key = (sf.sf_rule, parents) in
+  if not (FiringTbl.mem ix.sx_suppressed_keys key) then begin
+    FiringTbl.add ix.sx_suppressed_keys key ();
+    ix.sx_suppressed <-
+      { sf with sf_parents = parents; sf_image = canonical sf.sf_image }
+      :: ix.sx_suppressed
+  end
 
-let support_record_suppressed sup ~rule_id ~parents ~image =
-  let parents = canonical_parents parents in
-  let key =
-    (rule_id, List.map (fun (p, f) -> (p, Array.to_list f)) parents)
+let parents_of o key =
+  List.init (Array.length o.o_read) (fun i -> (o.o_ppreds.(i), o.o_read.(i) key.(i)))
+
+(* drain the logs into the indexes, in recording order *)
+let sync sup =
+  let rec chronological acc = function
+    | Log_start -> acc
+    | Logged l as e -> chronological (e :: acc) l.prev
   in
-  if not (Hashtbl.mem sup.sup_suppressed_keys key) then begin
-    Hashtbl.add sup.sup_suppressed_keys key ();
-    sup.sup_suppressed <-
-      { sf_rule = rule_id; sf_parents = parents;
-        sf_image = canonical_parents image }
-      :: sup.sup_suppressed
+  if sup.sup_log != Log_start
+     && Database.removals sup.sup_db <> sup.sup_removals
+  then invalid_arg "Engine: facts were removed before the support was read";
+  let log = sup.sup_log in
+  sup.sup_log <- Log_start;
+  List.iter
+    (function
+      | Log_start -> ()
+      | Logged l ->
+          index_derivation sup (l.pred, l.fact) ~is_new:l.fresh
+            { se_rule = l.origin.o_rule;
+              se_parents = parents_of l.origin l.key;
+              se_nulls = l.nulls })
+    (chronological [] log);
+  match sup.sup_suppressed_log with
+  | [] -> ()
+  | log ->
+      sup.sup_suppressed_log <- [];
+      List.iter (index_suppressed sup) (List.rev log)
+
+let support_index sup =
+  sync sup;
+  sup.sup_ix
+
+let bind_support sup db =
+  if sup.sup_db != db then begin
+    sync sup;
+    sup.sup_db <- db
   end
+
+let log_derivation sup ~origin ~key ~nulls ~is_new pred ifact =
+  if sup.sup_log == Log_start then
+    sup.sup_removals <- Database.removals sup.sup_db;
+  sup.sup_log <-
+    Logged { origin; pred; fact = ifact; fresh = is_new; nulls; key; prev = sup.sup_log }
+
+(* an origin for parents already in hand *)
+let explicit_origin rule_id preds facts =
+  let read = Array.get facts in
+  ( { o_rule = rule_id; o_ppreds = preds; o_read = Array.map (fun _ -> read) facts },
+    Array.init (Array.length facts) Fun.id )
+
+let record_derivation sup db ~rule_id ~parents ~nulls ~is_new pred ifact =
+  bind_support sup db;
+  let origin, key =
+    explicit_origin rule_id
+      (Array.of_list (List.map fst parents))
+      (Array.of_list (List.map snd parents))
+  in
+  log_derivation sup ~origin ~key ~nulls ~is_new pred ifact
+
+let record_suppressed sup ~rule_id ~parents ~image =
+  sup.sup_suppressed_log <-
+    { sf_rule = rule_id; sf_parents = parents; sf_image = image }
+    :: sup.sup_suppressed_log
 
 (* ------------------------------------------------------------------ *)
 (* Run statistics                                                       *)
@@ -398,14 +486,14 @@ type agg_event =
       ac_group : Value.t list;       (* group key (group_vars order) *)
       ac_key : Value.t list;         (* contributor dedup key *)
       ac_weight : Value.t;           (* the aggregated value *)
-      ac_parents : (string * Database.fact) list;
+      ac_parents : FactId.t list;
           (* body facts matched before the aggregate literal *)
     }
   | Agg_head of {
       ah_rule : int;
       ah_group : Value.t list;
       ah_pred : string;
-      ah_fact : Database.fact;
+      ah_fact : Database.ifact;
     }
 
 let agg_step op acc v =
@@ -492,6 +580,9 @@ type prepared = {
      restricted-chase check, invent nulls for the rest) *)
   cbody : clit list;   (* body compiled against the dictionary *)
   cheads : catom list; (* head atoms, likewise *)
+  pos_preds : string array;
+  (* predicates of the positive literals, in body order — the order of
+     a candidate's seq vector, from which its parents are read back *)
 }
 
 let vars_after body i =
@@ -663,7 +754,12 @@ let prepare ?rid dict rule_id (r : Rule.rule) =
     has_agg;
     needed_vars;
     cbody = List.map (compile_lit dict) r.Rule.body;
-    cheads = List.map (compile_atom dict) r.Rule.head }
+    cheads = List.map (compile_atom dict) r.Rule.head;
+    pos_preds =
+      Array.of_list
+        (List.filter_map
+           (function Rule.Pos a -> Some a.Rule.pred | _ -> None)
+           r.Rule.body) }
 
 (* ------------------------------------------------------------------ *)
 
@@ -702,9 +798,10 @@ type run_state = {
   mutable trail_preds : string array;
   mutable trail_facts : Database.ifact array;
   mutable trail_len : int;
-  (* worker-merge path only: parents restored wholesale from a
-     collected candidate (the stack is empty there) *)
-  mutable fact_trail : (string * Database.ifact) list;
+  (* worker-merge path only (the stack is empty there): the candidate's
+     insertion-seq vector, and the origin that reads its parents back *)
+  mutable cand_key : int array;
+  mutable cand_origin : origin option;
   (* worker-local ids for values first computed on this domain while
      the dictionary is frozen (Assign results, mostly); re-interned
      sequentially at merge *)
@@ -733,18 +830,19 @@ let trail_push st pred fact =
   st.trail_facts.(n) <- fact;
   st.trail_len <- n + 1
 
-(* the current evaluation path's matched facts, most recent first (the
-   order the old cons-built trail had); only materialized on a complete
-   body match, where a recorder actually consumes it *)
-let trail_parents st =
-  if st.trail_len = 0 then st.fact_trail
-  else begin
-    let acc = ref [] in
-    for i = 0 to st.trail_len - 1 do
-      acc := (st.trail_preds.(i), st.trail_facts.(i)) :: !acc
-    done;
-    !acc
-  end
+(* the current match's parents as an origin and a key: the worker
+   candidate's own, or the sequential stack copied out *)
+let match_origin st (prep : prepared) =
+  match st.cand_origin with
+  | Some o when st.trail_len = 0 -> (o, st.cand_key)
+  | _ ->
+      let n = st.trail_len in
+      explicit_origin prep.rid (Array.sub st.trail_preds 0 n)
+        (Array.sub st.trail_facts 0 n)
+
+let trail_parents st prep =
+  let o, key = match_origin st prep in
+  parents_of o key
 
 (* Labeled nulls are drawn from a process-wide counter: successive runs
    over a shared database (e.g. the two phases of Algorithm 2) must
@@ -785,12 +883,6 @@ let value_id st v =
 let id_is_null st id =
   if id >= 0 then Intern.is_null (Database.dict st.db) id
   else Value.is_null (Intern.Scratch.resolve st.sc id)
-
-let resolve_ifact st (f : Database.ifact) : Database.fact =
-  Array.map (resolve_id st) f
-
-let resolve_parents st ps =
-  List.map (fun (p, f) -> (p, resolve_ifact st f)) ps
 
 (* variable resolver for expression evaluation over id bindings *)
 let env_value st env x = Option.map (resolve_id st) (env_lookup env x)
@@ -1018,27 +1110,20 @@ let fire st env (prep : prepared) ~on_new =
     end;
     (* support and aggregate observers see EVERY derivation — including
        re-derivations of a fact already present: DRed needs the
-       alternatives a fact may survive a retraction through. They stay
-       value-based: resolve once, at the recording boundary, off the
-       hot dedup path. *)
-    if Option.is_some st.sup || Option.is_some st.on_agg then begin
-      let fact = resolve_ifact st ifact in
-      (match st.sup with
-       | Some sup ->
-           if is_new then support_index_fact sup a.ca_pred fact;
-           support_record sup ~rule_id:prep.rid
-             ~parents:(resolve_parents st (trail_parents st)) ~nulls a.ca_pred
-             fact
-       | None -> ());
-      match st.on_agg with
-      | Some f ->
-          List.iter
-            (fun (rid, group) ->
-              f (Agg_head { ah_rule = rid; ah_group = group;
-                            ah_pred = a.ca_pred; ah_fact = fact }))
-            st.agg_notes
-      | None -> ()
-    end;
+       alternatives a fact may survive a retraction through *)
+    (match st.sup with
+     | Some sup ->
+         let origin, key = match_origin st prep in
+         log_derivation sup ~origin ~key ~nulls ~is_new a.ca_pred ifact
+     | None -> ());
+    (match st.on_agg with
+     | Some f ->
+         List.iter
+           (fun (rid, group) ->
+             f (Agg_head { ah_rule = rid; ah_group = group;
+                           ah_pred = a.ca_pred; ah_fact = ifact }))
+           st.agg_notes
+     | None -> ());
     if is_new then on_new a.ca_pred ifact
   in
   if prep.existentials = [] then List.iter (add_head []) prep.cheads
@@ -1051,9 +1136,8 @@ let fire st env (prep : prepared) ~on_new =
           st.cur.c_hits <- st.cur.c_hits + 1;
           (match st.sup with
            | Some sup ->
-               support_record_suppressed sup ~rule_id:prep.rid
-                 ~parents:(resolve_parents st (trail_parents st))
-                 ~image:(resolve_parents st image)
+               record_suppressed sup ~rule_id:prep.rid
+                 ~parents:(trail_parents st prep) ~image
            | None -> ());
           true
       | None ->
@@ -1164,7 +1248,7 @@ let rec eval_literals st env (prep : prepared) body i ~delta ~emit =
                  f (Agg_contrib
                       { ac_rule = prep.rid; ac_group = group_key;
                         ac_key = contrib_key; ac_weight = w;
-                        ac_parents = resolve_parents st (trail_parents st) })
+                        ac_parents = trail_parents st prep })
              | None -> ());
             let mark = env_mark env in
             env_bind env g.Rule.result (value_id st (Option.get group.acc));
@@ -1335,7 +1419,6 @@ let eval_rule st (prep : prepared) ~delta ~on_new =
 type candidate = {
   cd_vals : int array;      (* needed_vars binding ids, positionally *)
   cd_key : int array;       (* insertion-seq vector, written Pos order *)
-  cd_parents : (string * Database.ifact) list;  (* body-fact trail *)
   cd_spill : (int * Value.t) list;
   (* worker-local scratch ids appearing in [cd_vals] with their values,
      in first-use order; the merge re-interns them sequentially and
@@ -1403,12 +1486,11 @@ exception Round_aborted
    [eval_literals]/[match_atom] exactly on what matches and what counts
    as a probe; additionally records, per positive literal, the insertion
    sequence of the matched fact into [keyv] (at the literal's written
-   Pos ordinal) and — when support is recorded — the matched fact into
-   [slots], from which the emit callback assembles the candidate.
+   Pos ordinal), from which the emit callback assembles the candidate.
    [drive pred f] feeds the driving literal's source (facts of [pred])
    to [f] as (sequence, fact) pairs. *)
 let eval_planned st env (prep : prepared) ~order ~delta_lit ~drive ~keyv
-    ~pos_ord ~slots ~emit =
+    ~pos_ord ~emit =
   let body = Array.of_list prep.cbody in
   let rec go = function
     | [] -> emit ()
@@ -1420,9 +1502,6 @@ let eval_planned st env (prep : prepared) ~order ~delta_lit ~drive ~keyv
             let try_fact seq (fact : Database.ifact) =
               with_match env a.ca_args fact (fun () ->
                   keyv.(ord) <- seq;
-                  (match slots with
-                   | Some sl -> sl.(ord) <- (a.ca_pred, fact)
-                   | None -> ());
                   go rest)
             in
             if j = delta_lit then
@@ -1457,10 +1536,10 @@ let eval_work_item (main : run_state) (w : work_item) : work_result =
   let st =
     { db = main.db; opts = main.opts; added = 0;
       agg_states = Hashtbl.create 1;
-      sup = main.sup;  (* only consulted as a capture-the-trail flag *)
+      sup = None;  (* recording happens in the merge *)
       on_agg = None; agg_notes = [];  (* aggregates never run on workers *)
       trail_preds = [||]; trail_facts = [||]; trail_len = 0;
-      fact_trail = [];
+      cand_key = [||]; cand_origin = None;
       sc = Intern.Scratch.create ();
       tele = Kgm_telemetry.null;  (* collectors are not domain-safe *)
       jr = Kgm_telemetry.Journal.null;
@@ -1481,10 +1560,6 @@ let eval_work_item (main : run_state) (w : work_item) : work_result =
       | _ -> ())
     body;
   let keyv = Array.make (max 1 !n_pos) 0 in
-  let slots =
-    if Option.is_some main.sup then Some (Array.make (max 1 !n_pos) ("", [||]))
-    else None
-  in
   let drive pred f =
     match w.w_src with
     | Chunk (facts, lo, hi) ->
@@ -1497,7 +1572,7 @@ let eval_work_item (main : run_state) (w : work_item) : work_result =
   let env = env_create () in
   guard_eval prep (fun () ->
       eval_planned st env prep ~order:w.w_order ~delta_lit:w.w_lit ~drive ~keyv
-        ~pos_ord ~slots
+        ~pos_ord
         ~emit:(fun () ->
           let vals =
             Array.map
@@ -1515,13 +1590,8 @@ let eval_work_item (main : run_state) (w : work_item) : work_result =
               if id < 0 && not (List.mem_assoc id !spill) then
                 spill := (id, Intern.Scratch.resolve st.sc id) :: !spill)
             vals;
-          let parents =
-            match slots with
-            | Some sl -> Array.fold_left (fun acc s -> s :: acc) [] sl
-            | None -> []
-          in
           buf :=
-            { cd_vals = vals; cd_key = Array.copy keyv; cd_parents = parents;
+            { cd_vals = vals; cd_key = Array.copy keyv;
               cd_spill = List.rev !spill }
             :: !buf));
   { wr_cands = List.rev !buf; wr_probes = ctr.c_probes;
@@ -1549,9 +1619,8 @@ let fire_candidate st env (prep : prepared) cand ~on_new =
     end
   in
   Array.iteri (fun i id -> env_bind env prep.needed_vars.(i) id) vals;
-  st.fact_trail <- cand.cd_parents;
+  st.cand_key <- cand.cd_key;
   fire st env prep ~on_new;
-  st.fact_trail <- [];
   env_undo env mark
 
 (* The literal a whole-store round drives a rule from: with the planner,
@@ -1788,7 +1857,28 @@ let eval_round st pool (rules : prepared list) ~input ~use_planner ~cancel
                   let arr = Array.of_list !cands in
                   cands := [];
                   Array.sort compare_candidates arr;
-                  Array.iter (fun c -> fire_candidate st env prep c ~on_new) arr
+                  (* recorded parents are read back from the seq
+                     vectors: the driving literal's sequence indexes
+                     its source, every other one the store *)
+                  if Option.is_some st.sup then begin
+                    let read j = function
+                      | CPos a -> (
+                          match input with
+                          | Delta _ when j = i ->
+                              Some (Array.get (Option.get (delta_of a.ca_pred)))
+                          | _ -> Some (Database.nth_i st.db a.ca_pred))
+                      | _ -> None
+                    in
+                    st.cand_origin <-
+                      Some
+                        { o_rule = prep.rid;
+                          o_ppreds = prep.pos_preds;
+                          o_read =
+                            Array.of_list
+                              (List.filter_map Fun.id (List.mapi read prep.cbody)) }
+                  end;
+                  Array.iter (fun c -> fire_candidate st env prep c ~on_new) arr;
+                  st.cand_origin <- None
               | None -> ())
             prep.cbody;
           finish_rule st prep ~t0 ~before)
@@ -1821,21 +1911,61 @@ let checkpoint ?(every = default_checkpoint_every) ?(keep = 0)
     ?(label = "chase") dir =
   { ck_dir = dir; ck_every = max 1 every; ck_label = label; ck_keep = keep }
 
-(* v3: facts and deltas are stored as interned [int array]s together
-   with the dictionary (p_dict); loading re-interns the dictionary into
-   the target database and remaps the ids. v2 snapshots (boxed value
-   facts) are still read, via [ck_payload_v2] below; v1 snapshots are
-   rejected by [Snapshot.load]'s version check *)
-let ck_version = 3
+(* v4: the derivation support is stored interned, as a
+   [support_image] whose ids index [p_dict] like the facts do. v3
+   (interned facts, value-keyed support) and v2 (boxed value facts, no
+   dictionary) snapshots are still read, their supports re-interned on
+   load; v1 snapshots are rejected by [Snapshot.load]'s version check *)
+let ck_version = 4
 let ck_kind label = "chase-" ^ label
 
 let latest_checkpoint ?(label = "chase") dir =
   Kgm_resilience.Snapshot.latest ~dir ~kind:(ck_kind label)
 
-(* Marshal-friendly image of the loop state. Facts and deltas are kept
-   in chronological (insertion) order so replaying them through
-   [Database.add] reproduces per-predicate order exactly. *)
-type ck_payload = {
+(* What a snapshot keeps of the support: each fact's entries verbatim
+   (explanations stay identical across resume), null carriers and
+   suppressed firings; reverse edges and null origins are rebuilt. *)
+type support_image = {
+  si_entries : (FactId.t * support_entry list) list;
+  si_null_facts : (int * FactId.t list) list;
+  si_suppressed : suppressed_firing list;  (* reverse recording order *)
+}
+
+let support_image sup =
+  let ix = support_index sup in
+  { si_entries = FactTbl.fold (fun k r acc -> (k, !r) :: acc) ix.sx_entries [];
+    si_null_facts = Hashtbl.fold (fun n r acc -> (n, !r) :: acc) ix.sx_null_facts [];
+    si_suppressed = ix.sx_suppressed }
+
+(* Re-index a loaded image into the caller's (normally fresh) support,
+   each fact's entries oldest first so its list comes out verbatim;
+   [fid] re-encodes the image's ids against [db]. *)
+let support_absorb sup db ~fid img =
+  bind_support sup db;
+  let fids = List.map fid in
+  List.iter
+    (fun (fact, entries) ->
+      List.iter
+        (fun e ->
+          index_derivation sup (fid fact) ~is_new:false
+            { e with se_parents = fids e.se_parents })
+        (List.rev entries))
+    img.si_entries;
+  List.iter
+    (fun (n, facts) ->
+      List.iter (fun f -> push sup.sup_ix.sx_null_facts n (fid f)) (List.rev facts))
+    img.si_null_facts;
+  List.iter
+    (fun sf ->
+      index_suppressed sup
+        { sf with sf_parents = fids sf.sf_parents; sf_image = fids sf.sf_image })
+    (List.rev img.si_suppressed)
+
+(* Marshal-friendly image of the loop state; v3 and v4 differ only in
+   the support's form. Facts and deltas are kept in chronological
+   (insertion) order so replaying them through [Database.add]
+   reproduces per-predicate order exactly. *)
+type 'sup payload = {
   p_fingerprint : string;  (* digest of the program text: a checkpoint
                               only resumes the program that wrote it *)
   p_stratum : int;
@@ -1845,8 +1975,8 @@ type ck_payload = {
   p_deltas : int list;     (* reverse chronological, as the loop keeps it *)
   p_added : int;
   p_nulls : int;           (* global null counter *)
-  p_dict : Value.t array;  (* interned values in id order; [p_facts] and
-                              [p_delta] ids index into it *)
+  p_dict : Value.t array;  (* interned values in id order; every id in
+                              the payload indexes into it *)
   p_facts : (string * Database.ifact list) list;
   p_delta : (string * Database.ifact list) list;
   p_ctrs : rule_ctr array;
@@ -1855,17 +1985,42 @@ type ck_payload = {
       (* the retired first-derivation table: always written [None] and
          ignored on read (Marshal is shape-based and the field is never
          inspected, so older snapshots carrying one still load) *)
-  p_sup : support option;
-      (* v2: the full derivation support, so a resumed run stays
-         incrementally maintainable and explain-able. Pure data
-         (hashtables, refs, lists of values), so Marshal round-trips
-         it; per-fact entry lists are preserved verbatim, which keeps
-         explanation output identical across resume. *)
+  p_sup : 'sup option;  (* so a resumed run stays maintainable *)
 }
 
+(* The value-keyed support of v2/v3 snapshots, mirrored structurally (a
+   record marshals like a tuple, a [Hashtbl.Make] table like a
+   [Hashtbl.t]): entries (rule, parents, nulls) per fact, reverse
+   edges, null origins, null carriers, suppressed firings (rule,
+   parents, image) and their keys. [unit] fields are never inspected. *)
+type v3_fact = string * Database.fact
+
+type v3_support =
+  (string * Value.t list, (int * v3_fact list * int list) list ref) Hashtbl.t
+  * unit * unit
+  * (int, v3_fact list ref) Hashtbl.t
+  * (int * v3_fact list * v3_fact list) list
+  * unit
+
+let image_of_v3 db ((entries, _, _, null_facts, suppressed, _) : v3_support) =
+  let fids = List.map (fun (p, f) -> (p, Database.intern_fact db f)) in
+  { si_entries =
+      Hashtbl.fold
+        (fun (p, vals) r acc ->
+          ( (p, Database.intern_fact db (Array.of_list vals)),
+            List.map
+              (fun (se_rule, ps, se_nulls) -> { se_rule; se_parents = fids ps; se_nulls })
+              !r )
+          :: acc)
+        entries [];
+    si_null_facts = Hashtbl.fold (fun n r acc -> (n, fids !r) :: acc) null_facts [];
+    si_suppressed =
+      List.map
+        (fun (sf_rule, ps, img) -> { sf_rule; sf_parents = fids ps; sf_image = fids img })
+        suppressed }
+
 (* Structural mirror of the v2 payload (facts as boxed value arrays, no
-   dictionary). Marshal is shape-based, so reading an old snapshot into
-   this record is exact; the loader re-interns the values. *)
+   dictionary); the loader re-interns the values. *)
 type ck_payload_v2 = {
   q_fingerprint : string;
   q_stratum : int;
@@ -1879,86 +2034,62 @@ type ck_payload_v2 = {
   q_ctrs : rule_ctr array;
   q_agg : (int * agg_state) list;
   q_prov : unit option;  (* as [p_prov] *)
-  q_sup : support option;
+  q_sup : v3_support option;
 }
-
-(* Merge a deserialized support into the caller's (normally fresh)
-   support structure. Entry lists and recording order are preserved;
-   duplicates are impossible when [into] is empty and harmless
-   otherwise ([support_record] dedups, and consumers of children lists
-   dedup on their side). *)
-let support_absorb ~(into : support) (src : support) =
-  ProvTbl.iter
-    (fun key entries ->
-      List.iter
-        (fun e ->
-          let pred, vals = key in
-          support_record into ~rule_id:e.se_rule ~parents:e.se_parents
-            ~nulls:e.se_nulls pred (Array.of_list vals))
-        (List.rev !entries))
-    src.sup_entries;
-  Hashtbl.iter
-    (fun n facts ->
-      match Hashtbl.find_opt into.sup_null_facts n with
-      | Some r -> r := !facts @ !r
-      | None -> Hashtbl.add into.sup_null_facts n (ref !facts))
-    src.sup_null_facts;
-  List.iter
-    (fun sf ->
-      support_record_suppressed into ~rule_id:sf.sf_rule
-        ~parents:sf.sf_parents ~image:sf.sf_image)
-    (List.rev src.sup_suppressed)
 
 let program_fingerprint program =
   Digest.to_hex (Digest.string (Rule.program_to_string program))
 
-(* Load a snapshot and normalize it against [db]'s dictionary: v3 ids
-   are remapped through the serialized dictionary, v2 value facts are
-   interned directly. Either way the returned payload's ids are valid
-   in [db] and [p_dict] is spent. Any other version falls through to
-   the strict v3 load, whose Storage error names both versions. *)
+(* Load a snapshot and normalize it against [db]'s dictionary: v3/v4
+   ids are remapped through the serialized dictionary, v2 value facts
+   are interned directly, and v2/v3 value-keyed supports are interned
+   too. Either way the returned payload's ids are valid in [db] and
+   [p_dict] is spent. Any other version falls through to the strict v4
+   load, whose Storage error names both versions. *)
 let load_checkpoint db ~label ~fingerprint path =
   let kind = ck_kind label in
-  let p =
-    if Kgm_resilience.Snapshot.peek_version ~kind ~path = 2 then begin
-      let (q : ck_payload_v2) =
-        Kgm_resilience.Snapshot.load ~kind ~version:2 ~path
-      in
-      let inf = List.map (Database.intern_fact db) in
-      { p_fingerprint = q.q_fingerprint;
-        p_stratum = q.q_stratum;
-        p_round0_done = q.q_round0_done;
-        p_rounds = q.q_rounds;
-        p_deltas = q.q_deltas;
-        p_added = q.q_added;
-        p_nulls = q.q_nulls;
-        p_dict = [||];
-        p_facts = List.map (fun (pr, fl) -> (pr, inf fl)) q.q_facts;
-        p_delta = List.map (fun (pr, fl) -> (pr, inf fl)) q.q_delta;
-        p_ctrs = q.q_ctrs;
-        p_agg = q.q_agg;
-        p_prov = None;
-        p_sup = q.q_sup }
-    end
-    else begin
-      let (p : ck_payload) =
-        Kgm_resilience.Snapshot.load ~kind ~version:ck_version ~path
-      in
-      let dict = Database.dict db in
-      let remap = Array.map (fun v -> Intern.intern dict v) p.p_dict in
-      let rf = List.map (fun f -> Array.map (fun id -> remap.(id)) f) in
-      { p with
-        p_dict = [||];
-        p_facts = List.map (fun (pr, fl) -> (pr, rf fl)) p.p_facts;
-        p_delta = List.map (fun (pr, fl) -> (pr, rf fl)) p.p_delta }
-    end
+  let load version = Kgm_resilience.Snapshot.load ~kind ~version ~path in
+  let remapped (p : _ payload) =
+    let dict = Database.dict db in
+    let remap = Array.map (fun v -> Intern.intern dict v) p.p_dict in
+    let rf f = Array.map (fun id -> remap.(id)) f in
+    let rfl = List.map (fun (pr, fl) -> (pr, List.map rf fl)) in
+    (rf, { p with p_dict = [||]; p_facts = rfl p.p_facts; p_delta = rfl p.p_delta })
+  in
+  (* the payload, and how its support's ids map into [db] *)
+  let p, fid =
+    match Kgm_resilience.Snapshot.peek_version ~kind ~path with
+    | 2 ->
+        let (q : ck_payload_v2) = load 2 in
+        let inf = List.map (Database.intern_fact db) in
+        ( { p_fingerprint = q.q_fingerprint;
+            p_stratum = q.q_stratum;
+            p_round0_done = q.q_round0_done;
+            p_rounds = q.q_rounds;
+            p_deltas = q.q_deltas;
+            p_added = q.q_added;
+            p_nulls = q.q_nulls;
+            p_dict = [||];
+            p_facts = List.map (fun (pr, fl) -> (pr, inf fl)) q.q_facts;
+            p_delta = List.map (fun (pr, fl) -> (pr, inf fl)) q.q_delta;
+            p_ctrs = q.q_ctrs;
+            p_agg = q.q_agg;
+            p_prov = None;
+            p_sup = Option.map (image_of_v3 db) q.q_sup },
+          Fun.id )
+    | 3 ->
+        let _, p = remapped (load 3 : v3_support payload) in
+        ({ p with p_sup = Option.map (image_of_v3 db) p.p_sup }, Fun.id)
+    | _ ->
+        let rf, p = remapped (load ck_version : support_image payload) in
+        (p, fun (pr, f) -> (pr, rf f))
   in
   if p.p_fingerprint <> fingerprint then
     Kgm_error.validate_error
       "checkpoint %s was written by a different program (fingerprint \
        mismatch)"
       path;
-  p
+  (p, fid)
 
 (* ------------------------------------------------------------------ *)
 (* The chase loop.
@@ -1972,7 +2103,7 @@ let load_checkpoint db ~label ~fingerprint path =
 
 type first_round =
   | From_store
-  | From_seeds of (string * Database.fact list) list
+  | From_seeds of (string * Database.ifact list) list
 
 let chase ~first ~options ~support ~telemetry ~journal ~cancel ~checkpoint
     ~resume_from ~on_new ~on_agg ~rule_ids ~agg_init (program : Rule.program)
@@ -1991,6 +2122,7 @@ let chase ~first ~options ~support ~telemetry ~journal ~cancel ~checkpoint
     | Some _ -> support
     | None -> if options.provenance then Some (create_support ()) else None
   in
+  Option.iter (fun sup -> bind_support sup db) support;
   (match Analysis.safety_report program with
    | [] -> ()
    | errs ->
@@ -2015,11 +2147,15 @@ let chase ~first ~options ~support ~telemetry ~journal ~cancel ~checkpoint
     | `Ok -> Kgm_resilience.Token.status deadline_tok
     | s -> s
   in
-  let resume =
-    Option.map
-      (load_checkpoint db ~fingerprint
-         ~label:(match checkpoint with Some c -> c.ck_label | None -> "chase"))
-      resume_from
+  let resume, fid =
+    match resume_from with
+    | None -> (None, Fun.id)
+    | Some path ->
+        let p, fid =
+          load_checkpoint db ~fingerprint path
+            ~label:(match checkpoint with Some c -> c.ck_label | None -> "chase")
+        in
+        (Some p, fid)
   in
   (* a maintenance pass runs over a materialized store: the program's
      facts are not loaded again *)
@@ -2031,7 +2167,8 @@ let chase ~first ~options ~support ~telemetry ~journal ~cancel ~checkpoint
   let st =
     { db; opts = options; added = 0; agg_states = Hashtbl.create 16;
       sup = support; on_agg; agg_notes = [];
-      trail_preds = [||]; trail_facts = [||]; trail_len = 0; fact_trail = [];
+      trail_preds = [||]; trail_facts = [||]; trail_len = 0;
+      cand_key = [||]; cand_origin = None;
       sc = Intern.Scratch.create ();
       tele = telemetry; jr = journal;
       ctrs = Array.init (max 1 n_rules) (fun _ -> fresh_ctr ());
@@ -2060,7 +2197,7 @@ let chase ~first ~options ~support ~telemetry ~journal ~cancel ~checkpoint
          p.p_ctrs;
        List.iter (fun (id, s) -> Hashtbl.replace st.agg_states id s) p.p_agg;
        (match support, p.p_sup with
-        | Some into, Some src -> support_absorb ~into src
+        | Some sup, Some img -> support_absorb sup db ~fid img
         | _ -> ()));
   if Journal.enabled journal then
     Journal.emit journal "run.start"
@@ -2131,7 +2268,7 @@ let chase ~first ~options ~support ~telemetry ~journal ~cancel ~checkpoint
               Hashtbl.fold (fun id s acc -> (id, s) :: acc) st.agg_states []
               |> List.sort compare;
             p_prov = None;
-            p_sup = st.sup }
+            p_sup = Option.map support_image st.sup }
         in
         let path =
           Kgm_resilience.Snapshot.path ~dir:cfg.ck_dir
@@ -2207,10 +2344,7 @@ let chase ~first ~options ~support ~telemetry ~journal ~cancel ~checkpoint
            Hashtbl.create 8
          in
          let record pred fact =
-           (* external observers stay value-level *)
-           (match on_new with
-            | Some f -> f pred (Database.resolve_fact db fact)
-            | None -> ());
+           (match on_new with Some f -> f pred fact | None -> ());
            if seeded then derived := (pred, fact) :: !derived;
            if List.mem pred in_stratum then add_fact delta pred fact
          in
@@ -2254,10 +2388,7 @@ let chase ~first ~options ~support ~telemetry ~journal ~cancel ~checkpoint
                     derivations of this pass *)
                  let tbl = Hashtbl.create 8 in
                  List.iter
-                   (fun (pred, facts) ->
-                     List.iter
-                       (fun f -> add_fact tbl pred (Database.intern_fact db f))
-                       facts)
+                   (fun (pred, facts) -> List.iter (add_fact tbl pred) facts)
                    seed;
                  List.iter
                    (fun (pred, fact) -> add_fact tbl pred fact)
@@ -2599,20 +2730,36 @@ let head_substitution (r : Rule.rule) pred (fact : Database.fact) =
   in
   Option.value ~default:[] (List.find_map try_atom r.Rule.head)
 
+(* premises render in value order: predicate, arity, then the tuple
+   under Value.compare — the canonical parent order is on ids, which
+   would make the output depend on interning order *)
+let compare_premise (p, f, _) (q, g, _) =
+  let c = String.compare p q in
+  if c <> 0 then c
+  else
+    let c = Int.compare (Array.length f) (Array.length g) in
+    if c <> 0 then c
+    else List.compare Value.compare (Array.to_list f) (Array.to_list g)
+
 let explain_tree ?(max_depth = default_explain_depth) (sup : support)
     (program : Rule.program) pred (fact : Database.fact) =
+  sync sup;
   let rules = Array.of_list program.Rule.rules in
-  let key_equal (p, k) (p', k') =
-    String.equal p p' && List.equal Value.equal k k'
-  in
-  let rec go path depth pred fact =
-    let key = (pred, Array.to_list fact) in
+  (* [id] is [None] for a root the dictionary never saw: it cannot have
+     been recorded *)
+  let rec go path depth pred fact id =
+    let entries =
+      match Option.bind id (fun f -> FactTbl.find_opt sup.sup_ix.sx_entries (pred, f)) with
+      | Some r -> !r
+      | None -> []
+    in
     let node =
-      match support_entries sup pred fact with
-      | [] -> Ground
-      | entries ->
+      match entries, id with
+      | [], _ | _, None -> Ground
+      | entries, Some f ->
+          let key = (pred, f) in
           if depth >= max_depth then Truncated
-          else if List.exists (key_equal key) path then Cycle
+          else if List.exists (FactId.equal key) path then Cycle
           else begin
             (* entries are most-recent-first: the first-recorded
                derivation is the last *)
@@ -2635,13 +2782,17 @@ let explain_tree ?(max_depth = default_explain_depth) (sup : support)
                 ed_nulls = e.se_nulls;
                 ed_premises =
                   List.map
-                    (fun (pp, pf) -> go (key :: path) (depth + 1) pp pf)
-                    e.se_parents }
+                    (fun (pp, pf) ->
+                      (pp, Array.map (Intern.resolve (Database.dict sup.sup_db)) pf, pf))
+                    e.se_parents
+                  |> List.sort compare_premise
+                  |> List.map (fun (pp, values, pf) ->
+                         go (key :: path) (depth + 1) pp values (Some pf)) }
           end
     in
     { et_pred = pred; et_fact = fact; et_depth = depth; et_node = node }
   in
-  go [] 0 pred fact
+  go [] 0 pred fact (Database.find_fact sup.sup_db fact)
 
 let rec pp_explain_tree ppf (t : explain_tree) =
   let pp_fact ppf (p, f) =

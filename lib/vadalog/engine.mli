@@ -152,61 +152,85 @@ type rule_stats = {
     that satisfied them (if the image later dies, the suppressed firing
     must be re-attempted — it may then invent).
 
-    The representation is transparent: {!Incremental} walks and prunes
-    it in place. Pass a fresh support to {!run} for the initial chase
-    and the {e same} one to every subsequent {!run_delta} over that
-    database; recording must cover the whole life of the
-    materialization or DRed's completeness argument breaks. Version-2
-    snapshots serialize the support recorded so far, so a resumed run
-    keeps recording into the caller's support and the result is
-    maintainable and explainable exactly as if never interrupted. *)
+    Facts are named by the store's own identity, {!Database.FactId}:
+    predicate and interned tuple, valid against the dictionary of the
+    database the chase ran over. Recording is an append to a log; the
+    log is drained into the indexes on the first read after it grew —
+    by {!support_index}, {!explain_tree} and the checkpoint writer — so
+    a chase that is never explained or maintained pays for the append
+    only. The log names parents by insertion sequence: read the support
+    (e.g. {!support_index}) before removing facts from the store, or
+    the next read raises [Invalid_argument].
 
-module ProvTbl : Hashtbl.S with type key = string * Kgm_common.Value.t list
-(** Fact-keyed hash tables, consistent with
-    {!Kgm_common.Value.equal}/[hash] (like {!Database.KeyTbl}, plus the
-    predicate name in the key). *)
+    Pass a fresh support to {!run} for the initial chase and the
+    {e same} one to every subsequent {!run_delta} over that database;
+    recording must cover the whole life of the materialization or
+    DRed's completeness argument breaks. Snapshots serialize the
+    support recorded so far, so a resumed run keeps recording into the
+    caller's support and the result is maintainable and explainable
+    exactly as if never interrupted. *)
 
 type support_entry = {
-  se_rule : int;  (** rule id within its program (informational) *)
-  se_parents : (string * Database.fact) list;
+  se_rule : int;  (** recording id of the firing rule *)
+  se_parents : Database.FactId.t list;
       (** the positive body facts the firing consumed, in canonical
-          (sorted, dedup'd) order — DRed only needs the set *)
+          order ({!Database.FactId.compare}, dedup'd) — DRed only
+          needs the set *)
   se_nulls : int list;  (** labeled nulls this firing invented *)
 }
 
 type suppressed_firing = {
   sf_rule : int;
-  sf_parents : (string * Database.fact) list;  (** canonical order *)
-  sf_image : (string * Database.fact) list;
+  sf_parents : Database.FactId.t list;  (** canonical order *)
+  sf_image : Database.FactId.t list;
       (** the image that satisfied the head check *)
 }
 
-type support = {
-  sup_entries : support_entry list ref ProvTbl.t;
+module FiringTbl : Hashtbl.S with type key = int * Database.FactId.t list
+(** Suppressed firings by identity: recording id and canonical
+    parents. *)
+
+type support_index = {
+  sx_entries : support_entry list ref Database.FactTbl.t;
       (** derived fact → its derivations, most recent first *)
-  sup_children : (string * Database.fact) list ref ProvTbl.t;
-      (** body fact → head facts with an entry consuming it; may hold
-          duplicates and stale (pruned) children — consumers dedup *)
-  sup_null_origin : (int, (string * Database.fact) list) Hashtbl.t;
+  sx_children : Database.FactId.t list ref Database.FactTbl.t;
+      (** body fact → the facts with an entry consuming it, each once *)
+  sx_null_origin : (int, Database.FactId.t list) Hashtbl.t;
       (** null id → parents of its creating derivation *)
-  sup_null_facts : (int, (string * Database.fact) list ref) Hashtbl.t;
+  sx_null_facts : (int, Database.FactId.t list ref) Hashtbl.t;
       (** null id → facts whose tuple carries the null *)
-  mutable sup_suppressed : suppressed_firing list;
+  mutable sx_suppressed : suppressed_firing list;
       (** reverse recording order *)
-  sup_suppressed_keys :
-    (int * (string * Kgm_common.Value.t list) list, unit) Hashtbl.t;
-      (** dedup keys of [sup_suppressed]; prune alongside it *)
+  sx_suppressed_keys : unit FiringTbl.t;
+      (** identities of [sx_suppressed]; prune alongside it *)
 }
+(** The indexed support. {!Incremental} walks and prunes it in place;
+    whoever prunes an entry keeps [sx_children] exact (a fact stays a
+    child of a parent only while one of its entries consumes it). *)
+
+type support
 
 val create_support : unit -> support
 
-val support_entries : support -> string -> Database.fact -> support_entry list
-(** All recorded derivations of a fact, most recent first; [[]] for
-    extensional (loaded) facts. *)
+val support_index : support -> support_index
+(** The indexes, with every recording so far applied. *)
+
+val record_derivation :
+  support -> Database.t -> rule_id:int -> parents:Database.FactId.t list ->
+  nulls:int list -> is_new:bool -> string -> Database.ifact -> unit
+(** [record_derivation sup db ~rule_id ~parents ~nulls ~is_new pred f]
+    logs one derivation of [pred f] — what the chase does for every
+    head fact it fires. Ids are [db]'s. [is_new]: the firing inserted
+    the fact, so the nulls in its tuple are indexed as carried by it.
+    Duplicate derivations (same rule, same parent set) are dropped
+    when the log is indexed. *)
 
 val fact_nulls : Database.fact -> int list
 (** The labeled-null ids occurring in a fact's tuple (including inside
     list values), sorted and dedup'd. *)
+
+val ifact_nulls : Kgm_common.Intern.t -> Database.ifact -> int list
+(** {!fact_nulls} of an interned fact. *)
 
 (** {1 Monotonic-aggregate observation}
 
@@ -233,14 +257,14 @@ type agg_event =
       ac_group : Kgm_common.Value.t list;  (** group key *)
       ac_key : Kgm_common.Value.t list;  (** contributor dedup key *)
       ac_weight : Kgm_common.Value.t;  (** the aggregated value *)
-      ac_parents : (string * Database.fact) list;
+      ac_parents : Database.FactId.t list;
           (** body facts matched before the aggregate literal *)
     }  (** a distinct contribution was folded into its group *)
   | Agg_head of {
       ah_rule : int;
       ah_group : Kgm_common.Value.t list;
       ah_pred : string;
-      ah_fact : Database.fact;
+      ah_fact : Database.ifact;
     }
       (** a head fact was produced under a group's accumulator —
           emitted on re-derivations of existing facts too, like
@@ -421,11 +445,11 @@ val run_delta :
   ?options:options -> ?support:support ->
   ?telemetry:Kgm_telemetry.t -> ?journal:Kgm_telemetry.Journal.t ->
   ?cancel:Kgm_resilience.Token.t ->
-  ?on_new:(string -> Database.fact -> unit) ->
+  ?on_new:(string -> Database.ifact -> unit) ->
   ?on_agg:(agg_event -> unit) -> ?rule_ids:int array ->
   ?agg_init:(int * agg_state) list ->
   Rule.program -> Database.t ->
-  seed:(string * Database.fact list) list -> stats
+  seed:(string * Database.ifact list) list -> stats
 (** Seeded semi-naive pass for incremental maintenance. [on_agg] and
     [rule_ids] as in {!run}; [agg_init] installs saturated
     monotonic-aggregate accumulators (keyed by recording id) before

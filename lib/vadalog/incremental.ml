@@ -12,7 +12,7 @@
 
     {ol
     {- {e Overdeletion cone.} Walk the support's reverse edges
-       ([sup_children]) from the retracted facts: everything reachable
+       ([sx_children]) from the retracted facts: everything reachable
        has at least one derivation that (transitively) consumed a
        retracted fact. When a cone fact is an origin parent of a
        labeled null, the null is {e at risk} and every fact carrying
@@ -65,8 +65,8 @@
 open Kgm_common
 module Journal = Kgm_telemetry.Journal
 module J = Kgm_telemetry.Json
-
-type phase_edb = unit Engine.ProvTbl.t
+module FactId = Database.FactId
+module FactTbl = Database.FactTbl
 
 (* -------- aggregate contribution logs (counting maintenance) -------- *)
 
@@ -74,11 +74,10 @@ type phase_edb = unit Engine.ProvTbl.t
     contribution the engine folded (including sub-threshold ones that
     never fired) and every head fact the group produced. *)
 type group_log = {
-  mutable gl_contribs :
-    (Value.t list * Value.t * (string * Database.fact) list) list;
+  mutable gl_contribs : (Value.t list * Value.t * FactId.t list) list;
       (** (dedup key, weight, body parents), reverse chronological *)
-  mutable gl_heads : (string * Database.fact) list;  (** reverse chrono *)
-  gl_head_set : unit Engine.ProvTbl.t;
+  mutable gl_heads : FactId.t list;  (** reverse chrono *)
+  gl_head_set : unit FactTbl.t;
   mutable gl_touched : bool;  (** scratch, one {!maintain} call *)
   mutable gl_pass_true : bool;  (** scratch: counting evidence cache *)
   mutable gl_dirty : bool;  (** scratch: heads pruned during removal *)
@@ -120,16 +119,22 @@ type state = {
   options : Engine.options;
   metas : phase_meta array;
   agg_tbl : (int, agg_log) Hashtbl.t;  (** recording id -> log *)
-  idx_parent : (agg_log * Value.t list * group_log) list ref Engine.ProvTbl.t;
+  idx_parent : (agg_log * Value.t list * group_log) list ref FactTbl.t;
       (** contribution parent fact -> the groups it feeds; persistent,
           appended as contributions are recorded, so a maintain pays
           cone-sized lookups instead of a materialization-sized build *)
-  idx_head : (agg_log * Value.t list * group_log) list ref Engine.ProvTbl.t;
+  idx_head : (agg_log * Value.t list * group_log) list ref FactTbl.t;
       (** aggregate head fact -> the groups that derived it *)
   mutable db : Database.t;
+      (** a fallback re-chase replaces it, sharing the dictionary, so
+          every fact id held here stays valid *)
   mutable support : Engine.support;
-  edb_set : phase_edb;
-  mutable edb_order : (string * Database.fact) list;  (* reverse load order *)
+  edb_set : int FactTbl.t;  (** current EDB fact -> its load stamp *)
+  mutable edb_order : (int * FactId.t) list;
+      (** reverse load order; an entry whose stamp is not the fact's
+          current one was retracted (or re-inserted later) *)
+  mutable edb_stamp : int;
+  mutable edb_stale : int;  (** stale entries in [edb_order] *)
 }
 
 type update_stats = {
@@ -147,16 +152,28 @@ type update_stats = {
   u_elapsed_s : float;
 }
 
-let key pred fact = (pred, Array.to_list fact)
+let edb_live st (stamp, k) = FactTbl.find_opt st.edb_set k = Some stamp
 
-let edb_note st pred fact =
-  let k = key pred fact in
-  if not (Engine.ProvTbl.mem st.edb_set k) then begin
-    Engine.ProvTbl.add st.edb_set k ();
-    st.edb_order <- (pred, fact) :: st.edb_order;
+let edb_note st k =
+  if FactTbl.mem st.edb_set k then false
+  else begin
+    st.edb_stamp <- st.edb_stamp + 1;
+    FactTbl.add st.edb_set k st.edb_stamp;
+    st.edb_order <- (st.edb_stamp, k) :: st.edb_order;
     true
   end
-  else false
+
+(* compacting once stale entries outnumber live ones keeps the order
+   list linear in the EDB however often facts come and go *)
+let edb_drop st k =
+  if FactTbl.mem st.edb_set k then begin
+    FactTbl.remove st.edb_set k;
+    st.edb_stale <- st.edb_stale + 1;
+    if st.edb_stale > FactTbl.length st.edb_set then begin
+      st.edb_order <- List.filter (edb_live st) st.edb_order;
+      st.edb_stale <- 0
+    end
+  end
 
 let rule_body_preds (r : Rule.rule) =
   List.filter_map
@@ -191,8 +208,8 @@ let register_agg_logs st =
     (fun _ log ->
       Database.KeyTbl.iter (fun _ g -> g.gl_defunct <- true) log.lg_groups)
     st.agg_tbl;
-  Engine.ProvTbl.reset st.idx_parent;
-  Engine.ProvTbl.reset st.idx_head;
+  FactTbl.reset st.idx_parent;
+  FactTbl.reset st.idx_head;
   Hashtbl.reset st.agg_tbl;
   List.iteri
     (fun i (ph : Rule.program) ->
@@ -216,7 +233,7 @@ let log_group log gkey =
   | None ->
       let g =
         { gl_contribs = []; gl_heads = [];
-          gl_head_set = Engine.ProvTbl.create 8; gl_touched = false;
+          gl_head_set = FactTbl.create 8; gl_touched = false;
           gl_pass_true = false; gl_dirty = false; gl_defunct = false }
       in
       Database.KeyTbl.add log.lg_groups gkey g;
@@ -241,12 +258,12 @@ let value_negative = function
    dedups most repeated (parent, group) pairs; the few that slip
    through only cost a redundant touch *)
 let index_add tbl k ((_, _, g) as entry) =
-  match Engine.ProvTbl.find_opt tbl k with
+  match FactTbl.find_opt tbl k with
   | Some r -> (
       match !r with
       | (_, _, g') :: _ when g' == g -> ()
       | _ -> r := entry :: !r)
-  | None -> Engine.ProvTbl.add tbl k (ref [ entry ])
+  | None -> FactTbl.add tbl k (ref [ entry ])
 
 let record_agg_event st = function
   | Engine.Agg_contrib { ac_rule; ac_group; ac_key; ac_weight; ac_parents } ->
@@ -269,18 +286,16 @@ let record_agg_event st = function
              gs.Engine.n <- gs.Engine.n + 1
            end;
            let entry = (log, ac_group, g) in
-           List.iter
-             (fun (p, f) -> index_add st.idx_parent (key p f) entry)
-             ac_parents)
+           List.iter (fun k -> index_add st.idx_parent k entry) ac_parents)
   | Engine.Agg_head { ah_rule; ah_group; ah_pred; ah_fact } ->
       (match Hashtbl.find_opt st.agg_tbl ah_rule with
        | None -> ()
        | Some log ->
            let g = log_group log ah_group in
-           let k = key ah_pred ah_fact in
-           if not (Engine.ProvTbl.mem g.gl_head_set k) then begin
-             Engine.ProvTbl.add g.gl_head_set k ();
-             g.gl_heads <- (ah_pred, ah_fact) :: g.gl_heads;
+           let k = (ah_pred, ah_fact) in
+           if not (FactTbl.mem g.gl_head_set k) then begin
+             FactTbl.add g.gl_head_set k ();
+             g.gl_heads <- k :: g.gl_heads;
              index_add st.idx_head k (log, ah_group, g)
            end)
 
@@ -293,20 +308,25 @@ let chase_phases ?(options = Engine.default_options) ?telemetry ?journal ~db
   let metas = build_metas phases in
   let st =
     { phases; options; metas; agg_tbl = Hashtbl.create 16;
-      idx_parent = Engine.ProvTbl.create 256;
-      idx_head = Engine.ProvTbl.create 256; db;
+      idx_parent = FactTbl.create 256;
+      idx_head = FactTbl.create 256; db;
       support = Engine.create_support ();
-      edb_set = Engine.ProvTbl.create 256; edb_order = [] }
+      edb_set = FactTbl.create 256; edb_order = []; edb_stamp = 0;
+      edb_stale = 0 }
   in
   register_agg_logs st;
   (* the EDB is everything loaded rather than derived: facts already in
      the database plus each phase's own fact list *)
   List.iter
-    (fun pred -> List.iter (fun f -> ignore (edb_note st pred f)) (Database.facts db pred))
+    (fun pred ->
+      List.iter (fun f -> ignore (edb_note st (pred, f))) (Database.facts_i db pred))
     (Database.predicates db);
   List.iter
     (fun (ph : Rule.program) ->
-      List.iter (fun (p, args) -> ignore (edb_note st p (Array.of_list args))) ph.Rule.facts)
+      List.iter
+        (fun (p, args) ->
+          ignore (edb_note st (p, Database.intern_fact db (Array.of_list args))))
+        ph.Rule.facts)
     phases;
   let stats = ref None in
   List.iteri
@@ -321,6 +341,9 @@ let chase_phases ?(options = Engine.default_options) ?telemetry ?journal ~db
          | None -> Some s
          | Some a -> Some (Engine.merge_stats a s)))
     phases;
+  (* index the support here, at set-up: the first maintain would
+     otherwise pay for the whole chase's recordings *)
+  ignore (Engine.support_index st.support);
   (st, Option.get !stats)
 
 let chase ?options ?telemetry ?journal ?(db = Database.create ()) program =
@@ -331,8 +354,10 @@ let phases st = st.phases
 let support st = st.support
 
 let edb_facts st =
-  List.rev st.edb_order
-  |> List.filter (fun (p, f) -> Engine.ProvTbl.mem st.edb_set (key p f))
+  List.fold_left
+    (fun acc ((_, (p, f)) as e) ->
+      if edb_live st e then (p, Database.resolve_fact st.db f) :: acc else acc)
+    [] st.edb_order
 
 (* ------------------------------------------------------------------ *)
 (* Update planning: the affected closure of the updated predicates,
@@ -490,10 +515,11 @@ let plan_update st updated =
    null numbering is then up to {!canonical_facts}, since the global
    null counter never rewinds). *)
 let rechase ?telemetry ?journal st =
-  let db' = Database.create () in
+  let db' = Database.create ~dict:(Database.dict st.db) () in
   let support' = Engine.create_support () in
-  let ordered = edb_facts st in
-  List.iter (fun (p, f) -> ignore (Database.add db' p f)) ordered;
+  List.iter
+    (fun ((_, (p, f)) as e) -> if edb_live st e then ignore (Database.add_i db' p f))
+    (List.rev st.edb_order);
   register_agg_logs st;
   List.iteri
     (fun i (ph : Rule.program) ->
@@ -504,8 +530,7 @@ let rechase ?telemetry ?journal st =
            { ph with Rule.facts = [] } db'))
     st.phases;
   st.db <- db';
-  st.support <- support';
-  st.edb_order <- List.rev ordered
+  st.support <- support'
 
 (* Saturated accumulators for a plain replay segment: every monotonic
    rule of the segment needs one, or {!Engine.run_delta} would re-count
@@ -525,10 +550,19 @@ let agg_init_for st (m : phase_meta) js =
 let maintain ?(telemetry = Kgm_telemetry.null)
     ?(journal = Kgm_telemetry.Journal.null) st ~inserts ~retracts =
   let t0 = Kgm_telemetry.Clock.now () in
-  (* retractions only make sense against the EDB; a derived fact would
-     simply be rederived *)
+  (* values stop here: the batch is interned once. Retractions only
+     make sense against the EDB (a derived fact would simply be
+     rederived), and a value the dictionary never saw is in no fact *)
   let retracts =
-    List.filter (fun (p, f) -> Engine.ProvTbl.mem st.edb_set (key p f)) retracts
+    List.filter_map
+      (fun (p, f) ->
+        match Database.find_fact st.db f with
+        | Some i when FactTbl.mem st.edb_set (p, i) -> Some (p, i)
+        | _ -> None)
+      retracts
+  in
+  let inserts =
+    List.map (fun (p, f) -> (p, Database.intern_fact st.db f)) inserts
   in
   if Journal.enabled journal then
     Journal.emit journal "maintain.start"
@@ -540,11 +574,9 @@ let maintain ?(telemetry = Kgm_telemetry.null)
   let plan = plan_update st updated in
   let fallback = updated <> [] && plan.pl_fallback in
   if fallback then begin
-    List.iter (fun (p, f) -> Engine.ProvTbl.remove st.edb_set (key p f)) retracts;
+    List.iter (edb_drop st) retracts;
     let inserted =
-      List.fold_left
-        (fun n (p, f) -> if edb_note st p f then n + 1 else n)
-        0 inserts
+      List.fold_left (fun n k -> if edb_note st k then n + 1 else n) 0 inserts
     in
     rechase ~telemetry ~journal st;
     Kgm_telemetry.count telemetry "incremental.fallback";
@@ -566,35 +598,41 @@ let maintain ?(telemetry = Kgm_telemetry.null)
     stats
   end
   else begin
-    let sup = st.support in
-    List.iter (fun (p, f) -> Engine.ProvTbl.remove st.edb_set (key p f)) retracts;
+    let sup = Engine.support_index st.support in
+    let dict = Database.dict st.db in
+    List.iter (edb_drop st) retracts;
     let affected = plan.pl_affected in
     (* -------- wholesale strata: forced overdeletion -------- *)
     (* every derived fact of a marked stratum's head predicates is
        discarded (the rerun re-derives what still holds), and so is
        every null those discarded derivations invented *)
-    let forced : unit Engine.ProvTbl.t = Engine.ProvTbl.create 64 in
+    let forced : unit FactTbl.t = FactTbl.create 64 in
     let forced_nulls : (int, unit) Hashtbl.t = Hashtbl.create 16 in
     let forced_seeds = ref [] in
     let wholesale_preds =
       List.sort_uniq String.compare
         (Hashtbl.fold (fun p () acc -> p :: acc) plan.pl_wpreds [])
     in
+    let entries k =
+      match FactTbl.find_opt sup.Engine.sx_entries k with
+      | Some r -> !r
+      | None -> []
+    in
     List.iter
       (fun pred ->
         List.iter
           (fun f ->
-            let k = key pred f in
-            if not (Engine.ProvTbl.mem st.edb_set k) then begin
-              Engine.ProvTbl.replace forced k ();
-              forced_seeds := (pred, f) :: !forced_seeds;
+            let k = (pred, f) in
+            if not (FactTbl.mem st.edb_set k) then begin
+              FactTbl.replace forced k ();
+              forced_seeds := k :: !forced_seeds;
               List.iter
                 (fun (e : Engine.support_entry) ->
                   List.iter
                     (fun n ->
                       if not (Hashtbl.mem forced_nulls n) then begin
                         Hashtbl.replace forced_nulls n ();
-                        match Hashtbl.find_opt sup.Engine.sup_null_facts n with
+                        match Hashtbl.find_opt sup.Engine.sx_null_facts n with
                         | Some r ->
                             List.iter
                               (fun pf -> forced_seeds := pf :: !forced_seeds)
@@ -602,26 +640,23 @@ let maintain ?(telemetry = Kgm_telemetry.null)
                         | None -> ()
                       end)
                     e.Engine.se_nulls)
-                (Engine.support_entries sup pred f)
+                (entries k)
             end)
-          (Database.facts st.db pred))
+          (Database.facts_i st.db pred))
       wholesale_preds;
     let forced_seeds = List.rev !forced_seeds in
     (* -------- overdeletion cone (reverse reachability) -------- *)
     (* origin parent -> nulls it helped create, built once per batch *)
-    let parent_nulls : (string * Value.t list, int list ref) Hashtbl.t =
-      Hashtbl.create 64
-    in
+    let parent_nulls : int list ref FactTbl.t = FactTbl.create 64 in
     Hashtbl.iter
       (fun n parents ->
         List.iter
-          (fun (p, f) ->
-            let k = key p f in
-            match Hashtbl.find_opt parent_nulls k with
+          (fun k ->
+            match FactTbl.find_opt parent_nulls k with
             | Some r -> r := n :: !r
-            | None -> Hashtbl.add parent_nulls k (ref [ n ]))
+            | None -> FactTbl.add parent_nulls k (ref [ n ]))
           parents)
-      sup.Engine.sup_null_origin;
+      sup.Engine.sx_null_origin;
     (* contribution-parent and head indexes over the aggregate logs the
        update can reach (body or head predicate in the closure) *)
     (* the persistent contribution-parent / head indexes stand in for a
@@ -632,7 +667,7 @@ let maintain ?(telemetry = Kgm_telemetry.null)
       && not (Hashtbl.mem plan.pl_wholesale_rids log.lg_rid)
     in
     let touched = ref [] in
-    let cone : unit Engine.ProvTbl.t = Engine.ProvTbl.create 256 in
+    let cone : unit FactTbl.t = FactTbl.create 256 in
     let cone_order = ref [] in
     let risk_nulls : (int, unit) Hashtbl.t = Hashtbl.create 16 in
     Hashtbl.iter (fun n () -> Hashtbl.replace risk_nulls n ()) forced_nulls;
@@ -640,17 +675,16 @@ let maintain ?(telemetry = Kgm_telemetry.null)
     List.iter (fun pf -> Queue.add pf queue) retracts;
     List.iter (fun pf -> Queue.add pf queue) forced_seeds;
     while not (Queue.is_empty queue) do
-      let (p, f) = Queue.pop queue in
-      let k = key p f in
-      if Database.mem st.db p f && not (Engine.ProvTbl.mem cone k) then begin
-        Engine.ProvTbl.add cone k ();
-        cone_order := (p, f) :: !cone_order;
-        (match Engine.ProvTbl.find_opt sup.Engine.sup_children k with
+      let ((p, f) as k) = Queue.pop queue in
+      if Database.mem_i st.db p f && not (FactTbl.mem cone k) then begin
+        FactTbl.add cone k ();
+        cone_order := k :: !cone_order;
+        (match FactTbl.find_opt sup.Engine.sx_children k with
          | Some r -> List.iter (fun pf -> Queue.add pf queue) !r
          | None -> ());
         (* a dying contribution shrinks its group's total: the group's
            heads must be re-judged, support edges or not *)
-        (match Engine.ProvTbl.find_opt st.idx_parent k with
+        (match FactTbl.find_opt st.idx_parent k with
          | Some r ->
              List.iter
                (fun ((log, gkey, g) as entry) ->
@@ -663,14 +697,14 @@ let maintain ?(telemetry = Kgm_telemetry.null)
                  end)
                !r
          | None -> ());
-        match Hashtbl.find_opt parent_nulls k with
+        match FactTbl.find_opt parent_nulls k with
         | None -> ()
         | Some ns ->
             List.iter
               (fun n ->
                 if not (Hashtbl.mem risk_nulls n) then begin
                   Hashtbl.add risk_nulls n ();
-                  match Hashtbl.find_opt sup.Engine.sup_null_facts n with
+                  match Hashtbl.find_opt sup.Engine.sx_null_facts n with
                   | Some r -> List.iter (fun pf -> Queue.add pf queue) !r
                   | None -> ()
                 end)
@@ -679,21 +713,20 @@ let maintain ?(telemetry = Kgm_telemetry.null)
     done;
     let cone_facts = List.rev !cone_order in
     (* -------- alive closure inside the cone -------- *)
-    let alive : unit Engine.ProvTbl.t = Engine.ProvTbl.create 256 in
+    let alive : unit FactTbl.t = FactTbl.create 256 in
     let alive_nulls : (int, unit) Hashtbl.t = Hashtbl.create 16 in
     let null_alive n =
       (not (Hashtbl.mem risk_nulls n)) || Hashtbl.mem alive_nulls n
     in
-    let fact_alive p f =
-      let k = key p f in
-      if Engine.ProvTbl.mem cone k then Engine.ProvTbl.mem alive k
-      else Database.mem st.db p f
+    let fact_alive ((p, f) as k) =
+      if FactTbl.mem cone k then FactTbl.mem alive k
+      else Database.mem_i st.db p f
     in
     (* aggregate-rule entries are never deletion evidence: a surviving
        entry says nothing about the group's post-retraction total *)
     let entry_evidence (e : Engine.support_entry) =
       (not (Hashtbl.mem st.agg_tbl e.Engine.se_rule))
-      && List.for_all (fun (p, f) -> fact_alive p f) e.Engine.se_parents
+      && List.for_all fact_alive e.Engine.se_parents
     in
     (* counting evidence: refold the group's surviving contributions
        (first surviving occurrence per dedup key, chronological — the
@@ -709,7 +742,7 @@ let maintain ?(telemetry = Kgm_telemetry.null)
         (fun (ckey, w, parents) ->
           if
             (not (Database.KeyTbl.mem seen ckey))
-            && List.for_all (fun (p, f) -> fact_alive p f) parents
+            && List.for_all fact_alive parents
           then begin
             Database.KeyTbl.add seen ckey ();
             acc := Some (Engine.agg_step prof.Analysis.ap_agg.Rule.op !acc w)
@@ -743,18 +776,14 @@ let maintain ?(telemetry = Kgm_telemetry.null)
     while !changed do
       changed := false;
       List.iter
-        (fun (p, f) ->
-          let k = key p f in
-          if
-            (not (Engine.ProvTbl.mem alive k))
-            && not (Engine.ProvTbl.mem forced k)
-          then begin
+        (fun ((_, f) as k) ->
+          if (not (FactTbl.mem alive k)) && not (FactTbl.mem forced k) then begin
             let ok =
-              Engine.ProvTbl.mem st.edb_set k
-              || (List.for_all null_alive (Engine.fact_nulls f)
-                  && (List.exists entry_evidence (Engine.support_entries sup p f)
+              FactTbl.mem st.edb_set k
+              || (List.for_all null_alive (Engine.ifact_nulls dict f)
+                  && (List.exists entry_evidence (entries k)
                       ||
-                      match Engine.ProvTbl.find_opt st.idx_head k with
+                      match FactTbl.find_opt st.idx_head k with
                       | Some r ->
                           List.exists
                             (fun ((log, gkey, g) as entry) ->
@@ -763,7 +792,7 @@ let maintain ?(telemetry = Kgm_telemetry.null)
                       | None -> false))
             in
             if ok then begin
-              Engine.ProvTbl.add alive k ();
+              FactTbl.add alive k ();
               changed := true
             end
           end)
@@ -776,9 +805,9 @@ let maintain ?(telemetry = Kgm_telemetry.null)
           then begin
             let origin =
               Option.value ~default:[]
-                (Hashtbl.find_opt sup.Engine.sup_null_origin n)
+                (Hashtbl.find_opt sup.Engine.sx_null_origin n)
             in
-            if List.for_all (fun (p, f) -> fact_alive p f) origin then begin
+            if List.for_all fact_alive origin then begin
               Hashtbl.add alive_nulls n ();
               changed := true
             end
@@ -786,10 +815,11 @@ let maintain ?(telemetry = Kgm_telemetry.null)
         risk_nulls
     done;
     let dead_facts =
-      List.filter (fun (p, f) -> not (Engine.ProvTbl.mem alive (key p f))) cone_facts
+      List.filter (fun k -> not (FactTbl.mem alive k)) cone_facts
     in
-    let dead_set : unit Engine.ProvTbl.t = Engine.ProvTbl.create 64 in
-    List.iter (fun (p, f) -> Engine.ProvTbl.replace dead_set (key p f) ()) dead_facts;
+    let dead_set : unit FactTbl.t = FactTbl.create 64 in
+    List.iter (fun k -> FactTbl.replace dead_set k ()) dead_facts;
+    let dead k = FactTbl.mem dead_set k in
     let dead_nulls =
       Hashtbl.fold
         (fun n () acc -> if Hashtbl.mem alive_nulls n then acc else n :: acc)
@@ -798,16 +828,14 @@ let maintain ?(telemetry = Kgm_telemetry.null)
     (* -------- delete + prune support and group logs -------- *)
     let dirty_groups = ref [] in
     let on_remove p f =
-      match Engine.ProvTbl.find_opt st.idx_head (key p f) with
+      let k = (p, f) in
+      match FactTbl.find_opt st.idx_head k with
       | None -> ()
       | Some r ->
           List.iter
             (fun (_, _, g) ->
-              let k = key p f in
-              if
-                (not g.gl_defunct) && Engine.ProvTbl.mem g.gl_head_set k
-              then begin
-                Engine.ProvTbl.remove g.gl_head_set k;
+              if (not g.gl_defunct) && FactTbl.mem g.gl_head_set k then begin
+                FactTbl.remove g.gl_head_set k;
                 if not g.gl_dirty then begin
                   g.gl_dirty <- true;
                   dirty_groups := g :: !dirty_groups
@@ -818,21 +846,14 @@ let maintain ?(telemetry = Kgm_telemetry.null)
     let deleted = Database.remove_batch ~on_remove st.db dead_facts in
     List.iter
       (fun g ->
-        g.gl_heads <-
-          List.filter
-            (fun (p, f) -> Engine.ProvTbl.mem g.gl_head_set (key p f))
-            g.gl_heads;
+        g.gl_heads <- List.filter (FactTbl.mem g.gl_head_set) g.gl_heads;
         g.gl_dirty <- false)
       !dirty_groups;
     List.iter
       (fun (log, gkey, g) ->
         g.gl_contribs <-
           List.filter
-            (fun (_, _, parents) ->
-              not
-                (List.exists
-                   (fun (p, f) -> Engine.ProvTbl.mem dead_set (key p f))
-                   parents))
+            (fun (_, _, parents) -> not (List.exists dead parents))
             g.gl_contribs;
         (* resync the live accumulator with the survivors, in the
            chronological order a re-chase would fold them *)
@@ -858,39 +879,53 @@ let maintain ?(telemetry = Kgm_telemetry.null)
           ("deleted", J.Int deleted);
           ("risk_nulls", J.Int (Hashtbl.length risk_nulls));
           ("dead_nulls", J.Int (List.length dead_nulls));
-          ("forced", J.Int (Engine.ProvTbl.length forced));
+          ("forced", J.Int (FactTbl.length forced));
           ("wholesale_strata", J.Int plan.pl_n_marked);
           ("agg_groups", J.Int (List.length !touched)) ];
+    (* -------- prune the support -------- *)
+    (* an entry goes with its fact or with a dead parent, and so does
+       every reverse edge it was the last to justify: the parents of
+       dropped entries are re-filtered once at the end, which keeps
+       each child list exact — no dead children, no duplicates — over
+       any number of update cycles *)
+    let refilter : unit FactTbl.t = FactTbl.create 64 in
+    let prune k keep =
+      match FactTbl.find_opt sup.Engine.sx_entries k with
+      | None -> ()
+      | Some er ->
+          let kept, gone = List.partition keep !er in
+          if gone <> [] then begin
+            er := kept;
+            List.iter
+              (fun (e : Engine.support_entry) ->
+                List.iter (fun p -> FactTbl.replace refilter p ()) e.Engine.se_parents)
+              gone
+          end
+    in
+    let live_parents (e : Engine.support_entry) =
+      not (List.exists dead e.Engine.se_parents)
+    in
+    let carried = Hashtbl.create 16 in
     List.iter
-      (fun (p, f) ->
-        let k = key p f in
-        Engine.ProvTbl.remove sup.Engine.sup_entries k;
-        (match Engine.ProvTbl.find_opt sup.Engine.sup_children k with
-         | None -> ()
-         | Some r ->
-             List.iter
-               (fun (q, g) ->
-                 let kc = key q g in
-                 if not (Engine.ProvTbl.mem dead_set kc) then
-                   match Engine.ProvTbl.find_opt sup.Engine.sup_entries kc with
-                   | None -> ()
-                   | Some er ->
-                       er :=
-                         List.filter
-                           (fun (e : Engine.support_entry) ->
-                             not
-                               (List.exists
-                                  (fun (pp, pf) ->
-                                    Engine.ProvTbl.mem dead_set (key pp pf))
-                                  e.Engine.se_parents))
-                           !er)
-               !r;
-             Engine.ProvTbl.remove sup.Engine.sup_children k))
+      (fun k ->
+        (match FactTbl.find_opt sup.Engine.sx_children k with
+         | Some r -> List.iter (fun c -> if not (dead c) then prune c live_parents) !r
+         | None -> ());
+        prune k (fun _ -> false);
+        FactTbl.remove sup.Engine.sx_entries k;
+        FactTbl.remove sup.Engine.sx_children k;
+        List.iter (fun n -> Hashtbl.replace carried n ()) (Engine.ifact_nulls dict (snd k)))
       dead_facts;
+    Hashtbl.iter
+      (fun n () ->
+        match Hashtbl.find_opt sup.Engine.sx_null_facts n with
+        | Some r -> r := List.filter (fun c -> not (dead c)) !r
+        | None -> ())
+      carried;
     List.iter
       (fun n ->
-        Hashtbl.remove sup.Engine.sup_null_origin n;
-        Hashtbl.remove sup.Engine.sup_null_facts n)
+        Hashtbl.remove sup.Engine.sx_null_origin n;
+        Hashtbl.remove sup.Engine.sx_null_facts n)
       dead_nulls;
     (* wholesale derivations are void even when their fact survives as
        EDB: drop their entries (the rerun re-records what still holds)
@@ -899,16 +934,26 @@ let maintain ?(telemetry = Kgm_telemetry.null)
       (fun pred ->
         List.iter
           (fun f ->
-            match Engine.ProvTbl.find_opt sup.Engine.sup_entries (key pred f) with
-            | None -> ()
-            | Some er ->
-                er :=
-                  List.filter
-                    (fun (e : Engine.support_entry) ->
-                      not (Hashtbl.mem plan.pl_wholesale_rids e.Engine.se_rule))
-                    !er)
-          (Database.facts st.db pred))
+            prune (pred, f) (fun (e : Engine.support_entry) ->
+                not (Hashtbl.mem plan.pl_wholesale_rids e.Engine.se_rule)))
+          (Database.facts_i st.db pred))
       wholesale_preds;
+    FactTbl.iter
+      (fun p () ->
+        match FactTbl.find_opt sup.Engine.sx_children p with
+        | None -> ()
+        | Some r ->
+            r :=
+              List.filter
+                (fun c ->
+                  (not (dead c))
+                  && List.exists
+                       (fun (e : Engine.support_entry) ->
+                         List.exists (FactId.equal p) e.Engine.se_parents)
+                       (entries c))
+                !r;
+            if !r = [] then FactTbl.remove sup.Engine.sx_children p)
+      refilter;
     Hashtbl.iter
       (fun rid (log : agg_log) ->
         if Hashtbl.mem plan.pl_wholesale_rids rid then begin
@@ -929,54 +974,36 @@ let maintain ?(telemetry = Kgm_telemetry.null)
     let kept =
       List.filter
         (fun (sf : Engine.suppressed_firing) ->
-          let sf_key =
-            ( sf.Engine.sf_rule,
-              List.map (fun (p, f) -> (p, Array.to_list f)) sf.Engine.sf_parents )
-          in
-          if Hashtbl.mem plan.pl_wholesale_rids sf.Engine.sf_rule then begin
-            Hashtbl.remove sup.Engine.sup_suppressed_keys sf_key;
+          let drop () =
+            Engine.FiringTbl.remove sup.Engine.sx_suppressed_keys
+              (sf.Engine.sf_rule, sf.Engine.sf_parents);
             false
+          in
+          if Hashtbl.mem plan.pl_wholesale_rids sf.Engine.sf_rule then drop ()
+          else if List.exists dead sf.Engine.sf_parents then drop ()
+          else if List.exists dead sf.Engine.sf_image then begin
+            incr refired;
+            List.iter
+              (fun pf -> refire_parents := pf :: !refire_parents)
+              (List.rev sf.Engine.sf_parents);
+            drop ()
           end
-          else
-            let parent_dead =
-              List.exists
-                (fun (p, f) -> Engine.ProvTbl.mem dead_set (key p f))
-                sf.Engine.sf_parents
-            in
-            let image_dead =
-              List.exists
-                (fun (p, f) -> Engine.ProvTbl.mem dead_set (key p f))
-                sf.Engine.sf_image
-            in
-            if parent_dead then begin
-              Hashtbl.remove sup.Engine.sup_suppressed_keys sf_key;
-              false
-            end
-            else if image_dead then begin
-              Hashtbl.remove sup.Engine.sup_suppressed_keys sf_key;
-              incr refired;
-              List.iter
-                (fun pf -> refire_parents := pf :: !refire_parents)
-                (List.rev sf.Engine.sf_parents);
-              false
-            end
-            else true)
-        sup.Engine.sup_suppressed
+          else true)
+        sup.Engine.sx_suppressed
     in
-    sup.Engine.sup_suppressed <- kept;
-    (* sup_suppressed is in reverse recording order; refire_parents was
+    sup.Engine.sx_suppressed <- kept;
+    (* sx_suppressed is in reverse recording order; refire_parents was
        consed while walking it, so it is now chronological *)
     let refire_parents = !refire_parents in
     (* -------- inserts -------- *)
     let seed_order = ref [] in
-    let seed_tbl : (string, Database.fact list ref) Hashtbl.t =
+    let seed_tbl : (string, Database.ifact list ref) Hashtbl.t =
       Hashtbl.create 16
     in
-    let seen_seed : unit Engine.ProvTbl.t = Engine.ProvTbl.create 64 in
-    let push_seed p f =
-      let k = key p f in
-      if not (Engine.ProvTbl.mem seen_seed k) then begin
-        Engine.ProvTbl.add seen_seed k ();
+    let seen_seed : unit FactTbl.t = FactTbl.create 64 in
+    let push_seed ((p, f) as k) =
+      if not (FactTbl.mem seen_seed k) then begin
+        FactTbl.add seen_seed k ();
         match Hashtbl.find_opt seed_tbl p with
         | Some r -> r := f :: !r
         | None ->
@@ -986,16 +1013,16 @@ let maintain ?(telemetry = Kgm_telemetry.null)
     in
     let inserted = ref 0 in
     List.iter
-      (fun (p, f) ->
-        if edb_note st p f then begin
+      (fun ((p, f) as k) ->
+        if edb_note st k then begin
           incr inserted;
-          if Database.add st.db p f then push_seed p f
+          if Database.add_i st.db p f then push_seed k
           (* else: the fact was already derived; it is now also
              extensional, but its consequences already exist *)
         end)
       inserts;
     List.iter
-      (fun (p, f) -> if Database.mem st.db p f then push_seed p f)
+      (fun ((p, f) as k) -> if Database.mem_i st.db p f then push_seed k)
       refire_parents;
     let seed =
       List.rev_map
@@ -1053,7 +1080,7 @@ let maintain ?(telemetry = Kgm_telemetry.null)
                 let sub = { ph with Rule.rules; Rule.facts = [] } in
                 if flag then begin
                   let stats =
-                    Engine.run ~options:st.options ~support:sup ~telemetry
+                    Engine.run ~options:st.options ~support:st.support ~telemetry
                       ~journal ~on_agg ~rule_ids sub st.db
                   in
                   derived := !derived + stats.Engine.new_facts;
@@ -1067,7 +1094,7 @@ let maintain ?(telemetry = Kgm_telemetry.null)
                   List.iter
                     (fun pred ->
                       List.iter (fun f -> on_new pred f)
-                        (Database.facts st.db pred))
+                        (Database.facts_i st.db pred))
                     hps
                 end
                 else begin
@@ -1078,7 +1105,7 @@ let maintain ?(telemetry = Kgm_telemetry.null)
                   if phase_seed <> [] then begin
                     let agg_init = agg_init_for st m js in
                     let stats =
-                      Engine.run_delta ~options:st.options ~support:sup
+                      Engine.run_delta ~options:st.options ~support:st.support
                         ~telemetry ~journal ~on_new ~on_agg ~rule_ids ~agg_init
                         sub st.db ~seed:phase_seed
                     in

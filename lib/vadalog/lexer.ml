@@ -94,7 +94,14 @@ let tokenize src =
         done;
         emit (FLOAT (float_of_string (String.sub src start (!i - start))))
       end
-      else emit (INT (int_of_string (String.sub src start (!i - start))))
+      else begin
+        let digits = String.sub src start (!i - start) in
+        match int_of_string_opt digits with
+        | Some k -> emit (INT k)
+        | None ->
+            Kgm_error.parse_error "line %d: integer literal %s out of range"
+              !line digits
+      end
     end
     else if c = '"' then begin
       advance ();

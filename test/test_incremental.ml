@@ -537,6 +537,78 @@ let test_equal_facts_null_permutation () =
   ignore (V.Database.add db5 "p" [| Value.String "b"; Value.Null 1 |]);
   check Alcotest.bool "constants rigid" false (I.equal_facts db4 db5)
 
+(* five edges and their closure; each cycle retracts one edge and
+   inserts it back in the next batch *)
+let cycle_src =
+  {| e(1, 2). e(2, 3). e(3, 4). e(4, 5). e(5, 6).
+     tc(X, Y) :- e(X, Y).
+     tc(X, Z) :- tc(X, Y), e(Y, Z). |}
+
+let cycle st =
+  ignore (I.maintain st ~inserts:[] ~retracts:(pfacts "e(3, 4)."));
+  ignore (I.maintain st ~inserts:(pfacts "e(3, 4).") ~retracts:[])
+
+let fact_list_equal a b =
+  List.equal
+    (fun (p, f) (q, g) -> String.equal p q && Array.for_all2 Value.equal f g)
+    a b
+
+let test_edb_facts_after_reinsert () =
+  let program = V.Parser.parse_program cycle_src in
+  let st, _ = I.chase program in
+  for _ = 1 to 20 do
+    cycle st
+  done;
+  (* each current EDB fact once, the re-inserted one at its latest
+     insert position: the order a fresh chase of that EDB loads *)
+  let expected = pfacts "e(1, 2). e(2, 3). e(4, 5). e(5, 6). e(3, 4)." in
+  check Alcotest.bool "edb_facts: once each, latest position" true
+    (fact_list_equal (I.edb_facts st) expected);
+  (* a batch may move a fact (retract then insert) *)
+  ignore
+    (I.maintain st ~inserts:(pfacts "e(1, 2).") ~retracts:(pfacts "e(1, 2)."));
+  check Alcotest.bool "moved to the end" true
+    (fact_list_equal (I.edb_facts st)
+       (pfacts "e(2, 3). e(4, 5). e(5, 6). e(3, 4). e(1, 2)."));
+  let db2 = rechased st program (opts ()) in
+  check Alcotest.bool "equal to re-chase" true (I.equal_facts (I.db st) db2)
+
+(* derivations, reverse edges, null records and suppressed firings *)
+let support_size st =
+  let ix = V.Engine.support_index (I.support st) in
+  let sum tbl = V.Database.FactTbl.fold (fun _ r n -> n + List.length !r) tbl 0 in
+  sum ix.V.Engine.sx_entries + sum ix.V.Engine.sx_children
+  + Hashtbl.length ix.V.Engine.sx_null_origin
+  + Hashtbl.fold (fun _ r n -> n + List.length !r) ix.V.Engine.sx_null_facts 0
+  + List.length ix.V.Engine.sx_suppressed
+
+let test_support_size_stable () =
+  let program = V.Parser.parse_program cycle_src in
+  let st, _ = I.chase program in
+  cycle st;
+  let one = support_size st in
+  for _ = 1 to 50 do
+    cycle st
+  done;
+  check Alcotest.int "support size after 51 cycles" one (support_size st);
+  (* the existential variant: nulls die and are re-invented each cycle *)
+  let program =
+    V.Parser.parse_program
+      {| e(1, 2). e(2, 3). own(X, N) :- e(X, Y). o(X) :- own(X, N). |}
+  in
+  let st, _ = I.chase program in
+  let cycle st =
+    ignore (I.maintain st ~inserts:[] ~retracts:(pfacts "e(1, 2)."));
+    ignore (I.maintain st ~inserts:(pfacts "e(1, 2).") ~retracts:[])
+  in
+  cycle st;
+  let one = support_size st in
+  for _ = 1 to 50 do
+    cycle st
+  done;
+  check Alcotest.int "existential support size after 51 cycles" one
+    (support_size st)
+
 let suite =
   [ Alcotest.test_case "insert only ≡ re-chase" `Quick test_insert_only;
     Alcotest.test_case "retract chain (DRed)" `Quick test_retract_chain;
@@ -574,4 +646,8 @@ let suite =
     Alcotest.test_case "canonical null renaming" `Quick
       test_canonical_facts_renames_nulls;
     Alcotest.test_case "equal_facts: cross-fact null permutation" `Quick
-      test_equal_facts_null_permutation ]
+      test_equal_facts_null_permutation;
+    Alcotest.test_case "edb_facts: re-inserts listed once, latest position"
+      `Quick test_edb_facts_after_reinsert;
+    Alcotest.test_case "support size stable over update cycles" `Quick
+      test_support_size_stable ]

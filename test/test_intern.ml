@@ -279,6 +279,118 @@ let test_snapshot_v2_compat () =
         (Test_parallel.canon ref_db = Test_parallel.canon db))
     [ 1; 2 ]
 
+(* Structural mirror of a v3 snapshot: interned facts and dictionary,
+   but the derivation support still value-keyed (a [Hashtbl.Make]
+   table marshals as a plain [Hashtbl.t]). *)
+type v3_entry = {
+  e_rule : int;
+  e_parents : (string * Value.t array) list;
+  e_nulls : int list;
+}
+
+type v3_support = {
+  s_entries : (string * Value.t list, v3_entry list ref) Hashtbl.t;
+  s_children :
+    (string * Value.t list, (string * Value.t array) list ref) Hashtbl.t;
+  s_null_origin : (int, (string * Value.t array) list) Hashtbl.t;
+  s_null_facts : (int, (string * Value.t array) list ref) Hashtbl.t;
+  s_suppressed : int list;
+  s_suppressed_keys : (int, unit) Hashtbl.t;
+}
+
+type v3_payload = {
+  r_fingerprint : string;
+  r_stratum : int;
+  r_round0_done : bool;
+  r_rounds : int;
+  r_deltas : int list;
+  r_added : int;
+  r_nulls : int;
+  r_dict : Value.t array;
+  r_facts : (string * int array list) list;
+  r_delta : (string * int array list) list;
+  r_ctrs : int array;
+  r_agg : (int * int) list;
+  r_prov : int option;
+  r_sup : v3_support option;
+}
+
+let test_snapshot_v3_support_compat () =
+  let src =
+    {| e(a, b). e(b, c). e(c, d).
+       tc(X, Y) :- e(X, Y).
+       tc(X, Z) :- tc(X, Y), e(Y, Z). |}
+  in
+  let program = V.Parser.parse_program src in
+  let options = { (jobs 1) with V.Engine.provenance = true } in
+  let explain_ad (stats : V.Engine.stats) =
+    V.Engine.explain_tree_to_string
+      (V.Engine.explain_tree (Option.get stats.V.Engine.support) program "tc"
+         [| Value.string "a"; Value.string "d" |])
+  in
+  let ref_db = V.Database.create () in
+  let ref_explained = explain_ad (V.Engine.run ~options program ref_db) in
+  (* hand-write the v3 snapshot taken after tc's stratum completed its
+     first round: tc holds the three edges, each derived by rule 0 *)
+  let analysis = V.Analysis.stratify program in
+  let stratum =
+    let rec find i = function
+      | [] -> Alcotest.fail "no tc stratum"
+      | preds :: rest -> if List.mem "tc" preds then i else find (i + 1) rest
+    in
+    find 0 analysis.V.Analysis.strata
+  in
+  let v = Value.string in
+  let edges = [ [| 0; 1 |]; [| 1; 2 |]; [| 2; 3 |] ] in
+  let dict = [| v "a"; v "b"; v "c"; v "d" |] in
+  let vals f = Array.map (fun id -> dict.(id)) f in
+  let entries = Hashtbl.create 8 in
+  List.iter
+    (fun f ->
+      Hashtbl.add entries
+        ("tc", Array.to_list (vals f))
+        (ref [ { e_rule = 0; e_parents = [ ("e", vals f) ]; e_nulls = [] } ]))
+    edges;
+  let payload =
+    { r_fingerprint =
+        Digest.to_hex (Digest.string (V.Rule.program_to_string program));
+      r_stratum = stratum;
+      r_round0_done = true;
+      r_rounds = 1;
+      r_deltas = [ 3 ];
+      r_added = 3;
+      r_nulls = 1_000_000;
+      r_dict = dict;
+      r_facts = [ ("e", edges); ("tc", edges) ];
+      r_delta = [ ("tc", edges) ];
+      r_ctrs = [||];
+      r_agg = [];
+      r_prov = None;
+      r_sup =
+        Some
+          { s_entries = entries; s_children = Hashtbl.create 1;
+            s_null_origin = Hashtbl.create 1; s_null_facts = Hashtbl.create 1;
+            s_suppressed = []; s_suppressed_keys = Hashtbl.create 1 } }
+  in
+  let dir = fresh_dir "v3sup" in
+  let path = R.Snapshot.path ~dir ~kind:"chase-chase" ~seq:1 in
+  R.Snapshot.save ~kind:"chase-chase" ~version:3 ~path payload;
+  List.iter
+    (fun n ->
+      let db = V.Database.create () in
+      let stats =
+        V.Engine.run ~options:{ options with V.Engine.jobs = n }
+          ~resume_from:path program db
+      in
+      check Alcotest.bool
+        (Printf.sprintf "v3 resume (jobs=%d) equals fresh" n)
+        true
+        (Test_parallel.canon ref_db = Test_parallel.canon db);
+      check Alcotest.string
+        (Printf.sprintf "v3 resume (jobs=%d) explains alike" n)
+        ref_explained (explain_ad stats))
+    [ 1; 2 ]
+
 let suite =
   [ ("intern/resolve bijection on hostile values", `Quick, test_bijection);
     ("scratch ids are negative, stable, isolated", `Quick, test_scratch);
@@ -286,5 +398,6 @@ let suite =
     ("sql export unchanged by interning", `Quick, test_sql_export_unchanged);
     ("v3 snapshot round-trips an interned db", `Quick,
      test_snapshot_v3_roundtrip);
-    ("v2 boxed-fact snapshot still resumes", `Quick, test_snapshot_v2_compat)
-  ]
+    ("v2 boxed-fact snapshot still resumes", `Quick, test_snapshot_v2_compat);
+    ("v3 snapshot with support still resumes", `Quick,
+     test_snapshot_v3_support_compat) ]

@@ -385,16 +385,16 @@ let test_explain_cycle_bounded () =
   (* a support whose first-recorded derivations loop (as DRed pruning
      can leave behind) hits the Cycle guard, not an infinite loop *)
   let looped = V.Engine.create_support () in
+  let ids = V.Database.create () in
   let fact_bc = control_fact "b" "c" and fact_cb = control_fact "c" "b" in
-  let entry parents =
-    { V.Engine.se_rule = 1; se_parents = parents; se_nulls = [] }
+  let bc = ("control", V.Database.intern_fact ids fact_bc)
+  and cb = ("control", V.Database.intern_fact ids fact_cb) in
+  let record (pred, f) parent =
+    V.Engine.record_derivation looped ids ~rule_id:1 ~parents:[ parent ]
+      ~nulls:[] ~is_new:true pred f
   in
-  V.Engine.ProvTbl.add looped.V.Engine.sup_entries
-    ("control", Array.to_list fact_bc)
-    (ref [ entry [ ("control", fact_cb) ] ]);
-  V.Engine.ProvTbl.add looped.V.Engine.sup_entries
-    ("control", Array.to_list fact_cb)
-    (ref [ entry [ ("control", fact_bc) ] ]);
+  record bc cb;
+  record cb bc;
   let t = V.Engine.explain_tree looped program "control" fact_bc in
   (match find_node (fun n -> n.V.Engine.et_node = V.Engine.Cycle) t with
    | Some n ->

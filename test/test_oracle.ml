@@ -6,11 +6,19 @@
 
    (a) jobs {1,2} x planner {on,off}, each checkpointing every round
        and resuming from every one of those snapshots, against jobs=1
-       with the planner on;
+       with the planner on — facts, and the explanation of every fact;
    (b) existential-free programs against the naive oracle
        (semi_naive=false, jobs 1, planner off);
    (c) existential-free programs chased on half the EDB, the other half
-       inserted through Incremental, against a from-scratch chase.
+       inserted through Incremental, against a from-scratch chase;
+   (d) programs with existential heads and stratified negation under a
+       stream of insert/retract batches through Incremental.maintain,
+       against a from-scratch chase of the final EDB, with the
+       derivation support checked for soundness after every step.
+
+   The shared update-batch parser ([Kgm_server.Batch], which reads
+   untrusted /update bodies) is fuzzed here too: random and mutated
+   batch texts must parse or fail with a structured error, promptly.
 
    Tier-1 runs a fixed seed; QCHECK_LONG=1 multiplies the case counts
    (qcheck-alcotest's long mode). Failures shrink to a minimal program. *)
@@ -148,10 +156,45 @@ let to_source c =
 let options ?(semi_naive = true) ~jobs ~planner () =
   { V.Engine.default_options with V.Engine.jobs; planner; semi_naive }
 
-let chase ?checkpoint ?resume_from options program =
+let chase_stats ?checkpoint ?resume_from options program =
   let db = V.Database.create () in
-  ignore (V.Engine.run ~options ?checkpoint ?resume_from program db);
-  db
+  let stats = V.Engine.run ~options ?checkpoint ?resume_from program db in
+  (db, stats)
+
+let chase ?checkpoint ?resume_from options program =
+  fst (chase_stats ?checkpoint ?resume_from options program)
+
+(* labeled-null numbers differ between runs: drop the digits after "_:"
+   and its "n" *)
+let mask_nulls s =
+  let b = Buffer.create (String.length s) in
+  let skip = ref false in
+  String.iteri
+    (fun i c ->
+      if i >= 2 && s.[i - 2] = '_' && s.[i - 1] = ':' then skip := true;
+      if not (!skip && (c = 'n' || (c >= '0' && c <= '9'))) then begin
+        skip := false;
+        Buffer.add_char b c
+      end)
+    s;
+  Buffer.contents b
+
+(* every fact's explanation, nulls masked, as a sorted list: what a
+   run's support says, as its reader sees it *)
+let explanations program (db, (stats : V.Engine.stats)) =
+  match stats.V.Engine.support with
+  | None -> []
+  | Some sup ->
+      List.concat_map
+        (fun pred ->
+          List.map
+            (fun f ->
+              mask_nulls
+                (V.Engine.explain_tree_to_string
+                   (V.Engine.explain_tree sup program pred f)))
+            (V.Database.facts db pred))
+        (V.Database.predicates db)
+      |> List.sort compare
 
 let canon = V.Incremental.canonical_facts
 
@@ -160,13 +203,19 @@ let canon = V.Incremental.canonical_facts
    chase *)
 let settings_agree c =
   let program = V.Parser.parse_program (to_source c) in
-  let reference = canon (chase (options ~jobs:1 ~planner:true ()) program) in
+  let with_support o = { o with V.Engine.provenance = true } in
+  let ref_run = chase_stats (with_support (options ~jobs:1 ~planner:true ())) program in
+  let reference = canon (fst ref_run) in
+  let ref_explained = explanations program ref_run in
+  let agrees run =
+    canon (fst run) = reference && explanations program run = ref_explained
+  in
   List.for_all
     (fun (jobs, planner) ->
-      let options = options ~jobs ~planner () in
+      let options = with_support (options ~jobs ~planner ()) in
       let dir = Test_resilience.fresh_dir "oracle" in
       let checkpoint = V.Engine.checkpoint ~every:1 dir in
-      let checkpointed = canon (chase ~checkpoint options program) in
+      let checkpointed = agrees (chase_stats ~checkpoint options program) in
       let snaps =
         Sys.readdir dir |> Array.to_list
         |> List.filter (fun f -> Filename.check_suffix f ".snap")
@@ -174,12 +223,12 @@ let settings_agree c =
       in
       let resumed_agree =
         List.for_all
-          (fun snap -> canon (chase ~resume_from:snap options program) = reference)
+          (fun snap -> agrees (chase_stats ~resume_from:snap options program))
           snaps
       in
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Sys.rmdir dir;
-      checkpointed = reference && resumed_agree)
+      checkpointed && resumed_agree)
     [ (1, true); (1, false); (2, true); (2, false) ]
 
 (* (b) the semi-naive chase equals the naive one *)
@@ -188,17 +237,17 @@ let naive_agrees c =
   canon (chase (options ~jobs:1 ~planner:true ()) program)
   = canon (chase (options ~semi_naive:false ~jobs:1 ~planner:false ()) program)
 
+let const_fact a =
+  ( a.pred,
+    Array.of_list
+      (List.map (function Const k -> Value.Int k | Var _ -> assert false) a.args) )
+
 (* (c) chasing half the EDB and inserting the rest through maintenance
    equals a chase of the whole EDB *)
 let insert_agrees c =
   let program = V.Parser.parse_program (to_source c) in
-  let fact a =
-    ( a.pred,
-      Array.of_list
-        (List.map (function Const k -> Value.Int k | Var _ -> assert false) a.args) )
-  in
   let first, second =
-    List.partition (fun (i, _) -> i mod 2 = 0) (List.mapi (fun i a -> (i, fact a)) c.edb)
+    List.partition (fun (i, _) -> i mod 2 = 0) (List.mapi (fun i a -> (i, const_fact a)) c.edb)
   in
   let db = V.Database.create () in
   List.iter (fun (_, (p, f)) -> ignore (V.Database.add db p f)) first;
@@ -206,6 +255,155 @@ let insert_agrees c =
   ignore (V.Incremental.maintain st ~inserts:(List.map snd second) ~retracts:[]);
   V.Incremental.equal_facts (V.Incremental.db st)
     (chase V.Engine.default_options program)
+
+(* (d) update streams: a case plus 1-4 batches of signed EDB facts, drawn
+   from the case's own EDB (so retractions hit) and from fresh ones *)
+type stream = { s_case : case; s_batches : (bool * atom) list list }
+
+let stream_gen =
+  let open G in
+  let* s_case = case_gen ~exist:true in
+  let fact =
+    oneof
+      [ oneofl s_case.edb;
+        atom_gen ~term:(map (fun c -> Const c) (int_range 1 4)) edb_preds ]
+  in
+  let+ s_batches =
+    list_size (int_range 1 4) (list_size (int_range 1 4) (pair bool fact))
+  in
+  { s_case; s_batches }
+
+let stream_to_string s =
+  to_source s.s_case ^ "\n"
+  ^ String.concat "\n%%\n"
+      (List.map
+         (fun b ->
+           String.concat "\n"
+             (List.map
+                (fun (ins, a) -> (if ins then "+" else "-") ^ atom_to_string a)
+                b))
+         s.s_batches)
+
+(* Soundness of the derivation support against the store it describes:
+   every derived fact has a derivation whose parents are all present,
+   and nothing the support names — entry, parent, reverse edge, null
+   origin or carrier, suppressed firing — is absent from the store. *)
+let support_sound st =
+  let db = V.Incremental.db st in
+  let present (p, f) = V.Database.mem_i db p f in
+  let all = List.for_all present in
+  let ix = V.Engine.support_index (V.Incremental.support st) in
+  let edb = V.Incremental.edb_facts st in
+  let is_edb (p, f) =
+    List.exists (fun (q, g) -> String.equal p q && Array.for_all2 Value.equal f g) edb
+  in
+  let entries k =
+    match V.Database.FactTbl.find_opt ix.V.Engine.sx_entries k with
+    | Some r -> !r
+    | None -> []
+  in
+  let sound_entry (e : V.Engine.support_entry) = all e.V.Engine.se_parents in
+  List.for_all
+    (fun pred ->
+      List.for_all
+        (fun f ->
+          is_edb (pred, V.Database.resolve_fact db f)
+          || List.exists sound_entry (entries (pred, f)))
+        (V.Database.facts_i db pred))
+    (V.Database.predicates db)
+  && V.Database.FactTbl.fold
+       (fun k es acc -> acc && present k && List.for_all sound_entry !es)
+       ix.V.Engine.sx_entries true
+  && V.Database.FactTbl.fold
+       (fun k cs acc -> acc && present k && all !cs)
+       ix.V.Engine.sx_children true
+  && Hashtbl.fold (fun _ ps acc -> acc && all ps) ix.V.Engine.sx_null_origin true
+  && Hashtbl.fold (fun _ fs acc -> acc && all !fs) ix.V.Engine.sx_null_facts true
+  && List.for_all
+       (fun (sf : V.Engine.suppressed_firing) ->
+         all sf.V.Engine.sf_parents && all sf.V.Engine.sf_image)
+       ix.V.Engine.sx_suppressed
+
+let stream_agrees s =
+  let program = V.Parser.parse_program (to_source s.s_case) in
+  let st, _ = V.Incremental.chase program in
+  (* the EDB the batches leave behind: retractions first, then inserts
+     of facts not already extensional, each appended at the end *)
+  let edb = ref (List.map const_fact s.s_case.edb) in
+  let same (p, f) (q, g) = String.equal p q && Array.for_all2 Value.equal f g in
+  edb := List.fold_left (fun acc pf -> if List.exists (same pf) acc then acc else acc @ [ pf ]) [] !edb;
+  support_sound st
+  && List.for_all
+       (fun batch ->
+         let inserts = List.filter_map (fun (i, a) -> if i then Some (const_fact a) else None) batch in
+         let retracts = List.filter_map (fun (i, a) -> if i then None else Some (const_fact a)) batch in
+         ignore (V.Incremental.maintain st ~inserts ~retracts);
+         edb := List.filter (fun pf -> not (List.exists (same pf) retracts)) !edb;
+         List.iter (fun pf -> if not (List.exists (same pf) !edb) then edb := !edb @ [ pf ]) inserts;
+         support_sound st
+         && List.equal same (V.Incremental.edb_facts st) !edb)
+       s.s_batches
+  &&
+  let fresh = V.Database.create () in
+  List.iter (fun (p, f) -> ignore (V.Database.add fresh p f)) !edb;
+  ignore (V.Engine.run { program with V.Rule.facts = [] } fresh);
+  V.Incremental.equal_facts (V.Incremental.db st) fresh
+
+(* Batch fuzzing: texts assembled from batch-shaped lines, then mutated
+   byte-wise with the characters the grammar cares about. Parsing must
+   return or raise Kgm_error.Error — anything else, or a parse still
+   running after the watchdog's few seconds, fails the property. *)
+let batch_line_gen =
+  let open G in
+  let* sign = oneofl [ "+"; "-"; ""; " + "; "--"; "%" ] in
+  let* a = atom_gen ~term:const_gen (edb_preds @ idb_preds) in
+  let+ dot = oneofl [ "."; ""; ".."; " . " ] in
+  sign ^ atom_to_string a ^ dot
+
+let batch_text_gen =
+  let open G in
+  let special =
+    oneofl
+      [ "("; ")"; "."; ","; "\""; "'"; "%"; ":-"; "\n"; "\\"; "+"; "-";
+        "not "; "@"; "_"; "X"; "1e999"; "99999999999999999999"; "\000";
+        "\xff"; " "; "@output(\"e\")"; "[" ; "]"; "=" ]
+  in
+  let mutate text =
+    let* ops = list_size (int_range 0 6) (pair (int_range 0 2) (pair nat special)) in
+    return
+      (List.fold_left
+         (fun t (op, (at, piece)) ->
+           let n = String.length t in
+           let i = if n = 0 then 0 else at mod (n + 1) in
+           match op with
+           | 0 -> String.sub t 0 i ^ piece ^ String.sub t i (n - i)
+           | 1 when i < n -> String.sub t 0 i ^ String.sub t (i + 1) (n - i - 1)
+           | _ when i < n ->
+               String.sub t 0 i ^ piece ^ String.sub t (i + 1) (n - i - 1)
+           | _ -> t)
+         text ops)
+  in
+  oneof
+    [ (list_size (int_range 0 6) batch_line_gen >|= String.concat "\n")
+      >>= mutate;
+      string_size ~gen:printable (int_range 0 80);
+      (list_size (int_range 0 12) special >|= String.concat "") ]
+
+exception Watchdog
+
+let batch_parse_total text =
+  let old = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Watchdog)) in
+  ignore (Unix.alarm 5);
+  let outcome =
+    match Kgm_server.Batch.parse text with
+    | _ -> true
+    | exception Kgm_error.Error _ -> true
+    | exception Watchdog -> false
+    | exception _ -> false
+  in
+  ignore (Unix.alarm 0);
+  Sys.set_signal Sys.sigalrm old;
+  outcome
 
 let property ~name ~count ~exist prop =
   QCheck_alcotest.to_alcotest ~speed_level:`Quick
@@ -219,4 +417,14 @@ let suite =
     property ~name:"semi-naive equals the naive oracle" ~count:250
       ~exist:false naive_agrees;
     property ~name:"inserting half the EDB equals a full chase" ~count:200
-      ~exist:false insert_agrees ]
+      ~exist:false insert_agrees;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      ~rand:(Random.State.make [| 20221213 |])
+      (QCheck2.Test.make ~name:"update streams equal a chase of the final EDB"
+         ~count:150 ~long_factor:20 ~print:stream_to_string stream_gen
+         stream_agrees);
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      ~rand:(Random.State.make [| 20221213 |])
+      (QCheck2.Test.make ~name:"batch parsing is total" ~count:500
+         ~long_factor:20 ~print:(Printf.sprintf "%S") batch_text_gen
+         batch_parse_total) ]

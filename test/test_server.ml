@@ -191,6 +191,33 @@ let test_update_epochs () =
          check Alcotest.int "server stats count the update" 1
            (S.stats srv).S.st_updates))
 
+(* rule ids recorded by a multi-phase session are pipeline-wide: a fact
+   derived in the second phase must render its own rule, not the first
+   phase's rule of the same local index (or a bare id) *)
+let test_explain_two_phases () =
+  let p1 = V.Parser.parse_program "edge(a, b). edge(b, c). link(X, Y) :- edge(X, Y)." in
+  let p2 = V.Parser.parse_program "hop(X, Z) :- link(X, Y), link(Y, Z)." in
+  let session, _ = Inc.chase_phases ~options ~db:(V.Database.create ()) [ p1; p2 ] in
+  let sock = fresh_sock () in
+  let srv = S.create (S.default_config ~sock) ~session in
+  S.start srv;
+  if not (S.Client.wait_ready sock) then Alcotest.fail "server never ready";
+  Fun.protect
+    ~finally:(fun () ->
+      S.drain srv;
+      ignore (S.run_until_drained srv))
+    (fun () ->
+      let code, body = post sock "/explain" "hop(a, c)" in
+      check Alcotest.int "explain ok" 200 code;
+      let first_line = List.hd (String.split_on_char '\n' body) in
+      check Alcotest.string "phase-2 rule rendered"
+        "hop(\"a\", \"c\")  <- hop(X, Z) :- link(X, Y), link(Y, Z)." first_line;
+      let _, body = post sock "/explain" "link(a, b)" in
+      check Alcotest.bool "phase-1 rule rendered" true
+        (String.length body > 0
+        && String.sub body 0 (String.index body '\n')
+           = "link(\"a\", \"b\")  <- link(X, Y) :- edge(X, Y)."))
+
 let test_deadline () =
   ignore
     (with_server
@@ -702,4 +729,6 @@ let suite =
     Alcotest.test_case "slowloris: partial head times out." `Quick
       test_slowloris;
     Alcotest.test_case "keep-alive x drain: pipeline finishes, then close."
-      `Quick test_keepalive_drain ]
+      `Quick test_keepalive_drain;
+    Alcotest.test_case "explain renders rules across phases." `Quick
+      test_explain_two_phases ]
