@@ -345,6 +345,17 @@ let indexed_patterns t pred =
       Hashtbl.fold (fun positions _ acc -> positions :: acc) s.indexes []
       |> List.sort compare
 
+(* How a probe on [positions] is served: the whole predicate for the
+   empty pattern, else its index — built first on an unfrozen store —
+   or, on a frozen store without one, a linear scan. *)
+let served_by t s positions =
+  if positions = [] then `Whole
+  else
+    match Hashtbl.find_opt s.indexes positions with
+    | Some idx -> `Index idx
+    | None when t.frozen -> `Scan
+    | None -> `Index (build_index s positions)
+
 (** [iter_matches_i t pred positions key f] calls [f seq ifact] for
     every fact whose ids at [positions] equal [key], in ascending
     insertion order ([seq] is the fact's per-predicate insertion
@@ -361,34 +372,41 @@ let iter_matches_i t pred positions key f =
       (* [f] may append to the store: the probe visits, and counts, only
          the facts present when it started *)
       let n = s.count in
-      let each_posting idx =
-        match IKeyTbl.find_opt idx key with
-        | Some ps ->
-            let len = ps.p_len in
-            for i = 0 to len - 1 do
-              let seq = ps.p_seq.(i) in
-              f seq s.arr.(seq)
-            done;
-            len
-        | None -> 0
-      in
-      if positions = [] then begin
-        for i = 0 to n - 1 do
-          f i s.arr.(i)
-        done;
-        n
-      end
-      else
-        match Hashtbl.find_opt s.indexes positions with
-        | Some idx -> each_posting idx
-        | None when t.frozen ->
-            for i = 0 to n - 1 do
-              match index_key positions s.arr.(i) with
-              | Some k when IKey.equal k key -> f i s.arr.(i)
-              | _ -> ()
-            done;
-            n
-        | None -> each_posting (build_index s positions))
+      match served_by t s positions with
+      | `Whole ->
+          for i = 0 to n - 1 do
+            f i s.arr.(i)
+          done;
+          n
+      | `Index idx -> (
+          match IKeyTbl.find_opt idx key with
+          | Some ps ->
+              let len = ps.p_len in
+              for i = 0 to len - 1 do
+                let seq = ps.p_seq.(i) in
+                f seq s.arr.(seq)
+              done;
+              len
+          | None -> 0)
+      | `Scan ->
+          for i = 0 to n - 1 do
+            match index_key positions s.arr.(i) with
+            | Some k when IKey.equal k key -> f i s.arr.(i)
+            | _ -> ()
+          done;
+          n)
+
+(** [probe_cost t pred positions key] is the number of facts
+    {!iter_matches_i} examines for the same probe, read without
+    iterating. *)
+let probe_cost t pred positions key =
+  match Hashtbl.find_opt t.preds pred with
+  | None -> 0
+  | Some s -> (
+      match served_by t s positions with
+      | `Whole | `Scan -> s.count
+      | `Index idx -> (
+          match IKeyTbl.find_opt idx key with Some ps -> ps.p_len | None -> 0))
 
 let nth_i t pred =
   match Hashtbl.find_opt t.preds pred with
@@ -405,13 +423,6 @@ let iter_range t pred ~lo ~hi f =
       for i = max 0 lo to min hi s.count - 1 do
         f i s.arr.(i)
       done
-
-(** Interned facts whose ids at [positions] equal [key], in insertion
-    order (see {!iter_matches_i} for the index semantics). *)
-let lookup_i t pred positions key =
-  let acc = ref [] in
-  ignore (iter_matches_i t pred positions key (fun _ f -> acc := f :: !acc));
-  List.rev !acc
 
 (** Value-level probe: same semantics as {!iter_matches_i} after
     encoding the key through the dictionary. A key containing a value

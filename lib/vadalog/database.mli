@@ -106,9 +106,6 @@ val lookup : t -> string -> int list -> Value.t list -> fact list
     a value absent from the dictionary matches nothing (and examines
     nothing) without touching the dictionary. *)
 
-val lookup_i : t -> string -> int list -> int list -> ifact list
-(** {!lookup} over interned facts and an id-encoded key. *)
-
 val iter_matches :
   t -> string -> int list -> Value.t list -> (int -> fact -> unit) -> int
 (** [iter_matches db pred positions key f] calls [f seq fact] on exactly
@@ -130,6 +127,15 @@ val iter_matches_i :
   t -> string -> int list -> int list -> (int -> ifact -> unit) -> int
 (** {!iter_matches} over interned facts and an id-encoded key — the
     engine's hot probe path (no per-fact decoding). *)
+
+val probe_cost : t -> string -> int list -> int list -> int
+(** [probe_cost t pred positions key] is the number of facts
+    {!iter_matches_i} would examine for the same probe, read without
+    iterating: the index-group length (a missing index is built first
+    on an unfrozen store, as the probe would), or [pred]'s whole
+    cardinality for the empty pattern and on the frozen missing-index
+    path. The engine's restricted-chase head check ranks head atoms by
+    it. *)
 
 val nth_i : t -> string -> int -> ifact
 (** [nth_i t pred] reads [pred]'s facts by insertion sequence (the

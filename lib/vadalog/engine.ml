@@ -17,9 +17,10 @@ module J = Kgm_telemetry.Json
 type options = {
   semi_naive : bool;        (** ABL-2: false = naive re-evaluation *)
   restricted_chase : bool;  (** ABL-1: false = oblivious chase *)
-  isomorphic_nulls : bool;  (** match nulls up to renaming in the
-                                satisfaction check (Vadalog-style
-                                termination for warded programs) *)
+  isomorphic_nulls : bool;  (** in the satisfaction check, a body null
+                                maps consistently onto any value
+                                (Vadalog-style termination for warded
+                                programs; DESIGN §9) *)
   reorder_body : bool;      (** ABL-4: greedy join ordering of bodies *)
   provenance : bool;        (** retain the derivation support graph after
                                 the chase (in {!stats.support}) so facts
@@ -107,6 +108,8 @@ type rule_stats = {
   rs_chase_hits : int;     (** restricted-chase checks finding an image
                                (invention suppressed) *)
   rs_chase_misses : int;   (** checks finding none (nulls invented) *)
+  rs_head_probes : int;    (** candidate facts the head checks examined
+                               (kept out of [rs_probes]) *)
   rs_time_s : float;       (** monotonic time spent evaluating the rule *)
 }
 
@@ -403,18 +406,19 @@ let pp_rule_table ppf stats =
   let by_time =
     List.sort (fun a b -> compare b.rs_time_s a.rs_time_s) active
   in
-  Format.fprintf ppf "%-28s %8s %8s %10s %6s %6s %6s %10s@."
-    "rule" "fired" "matched" "probes" "nulls" "hits" "misses" "time s";
-  Format.fprintf ppf "%s@." (String.make 90 '-');
+  Format.fprintf ppf "%-28s %8s %8s %10s %6s %6s %6s %10s %10s@."
+    "rule" "fired" "matched" "probes" "nulls" "hits" "misses" "head cands"
+    "time s";
+  Format.fprintf ppf "%s@." (String.make 101 '-');
   List.iter
     (fun r ->
       let label =
         if String.length r.rs_label <= 28 then r.rs_label
         else String.sub r.rs_label 0 25 ^ "..."
       in
-      Format.fprintf ppf "%-28s %8d %8d %10d %6d %6d %6d %10.6f@."
+      Format.fprintf ppf "%-28s %8d %8d %10d %6d %6d %6d %10d %10.6f@."
         label r.rs_firings r.rs_matches r.rs_probes r.rs_nulls
-        r.rs_chase_hits r.rs_chase_misses r.rs_time_s)
+        r.rs_chase_hits r.rs_chase_misses r.rs_head_probes r.rs_time_s)
     by_time;
   if idle > 0 then
     Format.fprintf ppf "(%d rule%s with no activity omitted)@." idle
@@ -566,6 +570,11 @@ type prepared = {
      maintenance layer re-runs a slice of a larger pipeline and needs
      the recorded ids to stay stable across slices ([?rule_ids]). *)
   head_label : string;  (* "pred/arity" of every head atom, joined *)
+  rule_text : string;
+  (* the rule pretty-printed, once per run and at its start: the
+     per-rule stats keep it, and a string rendered at the end of a run
+     lands among that run's garbage, where a caller keeping many runs'
+     stats pins the garbage's heap pages *)
   existentials : string list;
   (* for every monotonic/stratified aggregate literal (at most one
      stratified supported), the variables forming the group key *)
@@ -748,6 +757,7 @@ let prepare ?rid dict rule_id (r : Rule.rule) =
            (fun (a : Rule.atom) ->
              Printf.sprintf "%s/%d" a.Rule.pred (List.length a.Rule.args))
            r.Rule.head);
+    rule_text = Format.asprintf "%a" Rule.pp_rule r;
     existentials;
     group_vars;
     strat_agg_index;
@@ -771,12 +781,13 @@ type rule_ctr = {
   mutable c_nulls : int;
   mutable c_hits : int;
   mutable c_misses : int;
+  mutable c_head_probes : int;
   mutable c_time : float;
 }
 
 let fresh_ctr () =
   { c_firings = 0; c_matches = 0; c_probes = 0; c_nulls = 0; c_hits = 0;
-    c_misses = 0; c_time = 0. }
+    c_misses = 0; c_head_probes = 0; c_time = 0. }
 
 type run_state = {
   db : Database.t;
@@ -998,96 +1009,121 @@ let ground_atom env (a : catom) : Database.ifact =
     a.ca_args
 
 (* Does the head have a homomorphic image in the database under env?
-   Backtracking over head atoms; existential vars accumulate bindings.
+   A backtracking search over head atoms; existential vars accumulate
+   bindings.
 
    With [isomorphic_nulls] (the default, mirroring the Vadalog System's
-   termination strategy for warded programs), labeled nulls bound in the
-   body are matched {e up to consistent renaming onto other nulls}: the
-   head is considered satisfied when an image exists in which each body
-   null maps to some null, the same one at every occurrence. This is
-   what makes chases like [mgr(X,M) :- emp(X). emp(M) :- mgr(X,M).]
-   terminate while preserving certain answers over null-free facts. *)
-(* Returns [Some image] — the database facts forming the satisfying
+   termination strategy for warded programs), a labeled null bound in
+   the body is flexible: it may map onto any value, a null or a
+   constant, the same one at every occurrence. This is what makes
+   chases like [mgr(X,M) :- emp(X). emp(M) :- mgr(X,M).] terminate;
+   mapping onto constants can also lose certain answers (DESIGN §9).
+
+   Each level takes the remaining head atom whose index group under the
+   current bindings is smallest, ties in written order (DESIGN §8: the
+   number of bound positions is no guide, a bound edge-type constant
+   selects every edge of its type). The search is complete, so the
+   order only decides which image is found first.
+
+   Returns [Some image] — the database facts forming the satisfying
    homomorphic image, one per head atom — or [None] when no image
    exists. The maintenance layer records the image with the suppressed
    firing: should any of its facts later be retracted, the firing is
    re-attempted (and may then invent). *)
+exception Head_image of (string * Database.ifact) list
+
 let head_satisfied st env (prep : prepared) =
   let ex_env : (string, int) Hashtbl.t = Hashtbl.create 4 in
   let null_map : (int, int) Hashtbl.t = Hashtbl.create 4 in
   let iso = st.opts.isomorphic_nulls in
-  let rec go = function
-    | [] -> Some []
-    | (a : catom) :: rest ->
-        let args = a.ca_args in
-        let n = Array.length args in
-        (* [`Rigid id]: the image is the term's id itself (constants,
-           non-null body bindings, and already-chosen images of
-           existentials); [`Flex id]: a body-bound null, flexible up to
-           the consistent renaming in [null_map]; [`Free x]: an
-           existential without an image yet. *)
-        let requirement t =
-          match t with
-          | CConst id -> if iso && id_is_null st id then `Flex id else `Rigid id
-          | CVar x ->
-              (match env_lookup env x with
-               | Some id -> if iso && id_is_null st id then `Flex id else `Rigid id
-               | None ->
-                   (match Hashtbl.find_opt ex_env x with
-                    | Some id -> `Rigid id
-                    | None -> `Free x))
-        in
-        (* index only on rigid required ids and already-mapped nulls *)
-        let positions = ref [] and key = ref [] in
-        for i = n - 1 downto 0 do
-          match requirement args.(i) with
-          | `Rigid id ->
-              positions := i :: !positions;
-              key := id :: !key
-          | `Flex id ->
-              (match Hashtbl.find_opt null_map id with
-               | Some mapped ->
-                   positions := i :: !positions;
-                   key := mapped :: !key
-               | None -> ())
-          | `Free _ -> ()
-        done;
-        let candidates = Database.lookup_i st.db a.ca_pred !positions !key in
-        let rec try_cands = function
-          | [] -> None
-          | (fact : Database.ifact) :: more ->
-              if Array.length fact <> n then try_cands more
-              else begin
-                let new_ex = ref [] and new_nulls = ref [] in
-                let ok = ref true in
-                (try
-                   for i = 0 to n - 1 do
-                     match requirement args.(i) with
-                     | `Rigid id -> if id <> fact.(i) then raise Exit
-                     | `Flex id ->
-                         (* consistent renaming: one image per null *)
-                         (match Hashtbl.find_opt null_map id with
-                          | Some mapped ->
-                              if mapped <> fact.(i) then raise Exit
-                          | None ->
-                              Hashtbl.add null_map id fact.(i);
-                              new_nulls := id :: !new_nulls)
-                     | `Free x ->
-                         Hashtbl.add ex_env x fact.(i);
-                         new_ex := x :: !new_ex
-                   done
-                 with Exit -> ok := false);
-                match (if !ok then go rest else None) with
-                | Some tl -> Some ((a.ca_pred, fact) :: tl)
-                | None ->
-                    List.iter (Hashtbl.remove ex_env) !new_ex;
-                    List.iter (Hashtbl.remove null_map) !new_nulls;
-                    try_cands more
-              end
-        in
-        try_cands candidates
+  (* [`Rigid id]: the image is the term's id itself (constants,
+     non-null body bindings, and already-chosen images of
+     existentials); [`Flex id]: a body-bound null, whose image is kept
+     consistent in [null_map]; [`Free x]: an existential without an
+     image yet. *)
+  let requirement t =
+    match t with
+    | CConst id -> if iso && id_is_null st id then `Flex id else `Rigid id
+    | CVar x ->
+        (match env_lookup env x with
+         | Some id -> if iso && id_is_null st id then `Flex id else `Rigid id
+         | None ->
+             (match Hashtbl.find_opt ex_env x with
+              | Some id -> `Rigid id
+              | None -> `Free x))
   in
-  go prep.cheads
+  (* the probe of [a]: rigid required ids and already-mapped nulls *)
+  let probe (a : catom) =
+    let positions = ref [] and key = ref [] in
+    for i = Array.length a.ca_args - 1 downto 0 do
+      match requirement a.ca_args.(i) with
+      | `Rigid id ->
+          positions := i :: !positions;
+          key := id :: !key
+      | `Flex id ->
+          (match Hashtbl.find_opt null_map id with
+           | Some mapped ->
+               positions := i :: !positions;
+               key := mapped :: !key
+           | None -> ())
+      | `Free _ -> ()
+    done;
+    (!positions, !key)
+  in
+  (* Run [k] with the bindings extended so that [a] maps onto [fact],
+     when it does; the new bindings are undone afterwards. *)
+  let with_image (a : catom) (fact : Database.ifact) k =
+    let args = a.ca_args in
+    let n = Array.length args in
+    if Array.length fact = n then begin
+      let new_ex = ref [] and new_nulls = ref [] in
+      (match
+         for i = 0 to n - 1 do
+           match requirement args.(i) with
+           | `Rigid id -> if id <> fact.(i) then raise Exit
+           | `Flex id ->
+               (* consistent mapping: one image per null *)
+               (match Hashtbl.find_opt null_map id with
+                | Some mapped -> if mapped <> fact.(i) then raise Exit
+                | None ->
+                    Hashtbl.add null_map id fact.(i);
+                    new_nulls := id :: !new_nulls)
+           | `Free x ->
+               Hashtbl.add ex_env x fact.(i);
+               new_ex := x :: !new_ex
+         done
+       with
+       | () -> k ()
+       | exception Exit -> ());
+      List.iter (Hashtbl.remove ex_env) !new_ex;
+      List.iter (Hashtbl.remove null_map) !new_nulls
+    end
+  in
+  let rec search image = function
+    | [] -> raise (Head_image image)
+    | first :: others as atoms ->
+        let ranked (a : catom) =
+          let positions, key = probe a in
+          (Database.probe_cost st.db a.ca_pred positions key, a, positions, key)
+        in
+        let _, a, positions, key =
+          List.fold_left
+            (fun ((cost, _, _, _) as best) b ->
+              let ((cost', _, _, _) as cand) = ranked b in
+              if cost' < cost then cand else best)
+            (ranked first) others
+        in
+        let rest = List.filter (fun b -> b != a) atoms in
+        ignore
+          (Database.iter_matches_i st.db a.ca_pred positions key
+             (fun _ fact ->
+               st.cur.c_head_probes <- st.cur.c_head_probes + 1;
+               with_image a fact (fun () ->
+                   search ((a.ca_pred, fact) :: image) rest)))
+  in
+  match search [] prep.cheads with
+  | () -> None
+  | exception Head_image image -> Some image
 
 let fire st env (prep : prepared) ~on_new =
   st.cur.c_matches <- st.cur.c_matches + 1;
@@ -1096,7 +1132,7 @@ let fire st env (prep : prepared) ~on_new =
       (* trip mid-merge: not a clean round boundary, no checkpoint. The
          error (or tagged partial result) is produced by [run]'s outer
          handler, which keeps the firing rule for the context. *)
-      st.trip_rule <- Some (Format.asprintf "%a" Rule.pp_rule prep.rule);
+      st.trip_rule <- Some prep.rule_text;
       raise (Stop_chase (`Facts, false))
     end
   in
@@ -1338,7 +1374,7 @@ let guard_eval (prep : prepared) f =
   try f ()
   with Expr.Eval_error msg ->
     Kgm_error.reason_error_ctx
-      [ ("rule", Format.asprintf "%a" Rule.pp_rule prep.rule) ]
+      [ ("rule", prep.rule_text) ]
       "%s" msg
 
 (* Close one rule evaluation (or merge) started at [t0] with [before]
@@ -1911,12 +1947,13 @@ let checkpoint ?(every = default_checkpoint_every) ?(keep = 0)
     ?(label = "chase") dir =
   { ck_dir = dir; ck_every = max 1 every; ck_label = label; ck_keep = keep }
 
-(* v4: the derivation support is stored interned, as a
-   [support_image] whose ids index [p_dict] like the facts do. v3
-   (interned facts, value-keyed support) and v2 (boxed value facts, no
-   dictionary) snapshots are still read, their supports re-interned on
-   load; v1 snapshots are rejected by [Snapshot.load]'s version check *)
-let ck_version = 4
+(* v5: the per-rule counters carry [c_head_probes]. v4 (interned
+   support, as a [support_image] whose ids index [p_dict] like the
+   facts do), v3 (interned facts, value-keyed support) and v2 (boxed
+   value facts, no dictionary) snapshots are still read, their counters
+   widened and their supports re-interned on load; v1 snapshots are
+   rejected by [Snapshot.load]'s version check *)
+let ck_version = 5
 let ck_kind label = "chase-" ^ label
 
 let latest_checkpoint ?(label = "chase") dir =
@@ -1961,11 +1998,11 @@ let support_absorb sup db ~fid img =
         { sf with sf_parents = fids sf.sf_parents; sf_image = fids sf.sf_image })
     (List.rev img.si_suppressed)
 
-(* Marshal-friendly image of the loop state; v3 and v4 differ only in
-   the support's form. Facts and deltas are kept in chronological
+(* Marshal-friendly image of the loop state; v3, v4 and v5 differ only
+   in the support's and the counters' form. Facts and deltas are kept in chronological
    (insertion) order so replaying them through [Database.add]
    reproduces per-predicate order exactly. *)
-type 'sup payload = {
+type ('sup, 'ctr) payload = {
   p_fingerprint : string;  (* digest of the program text: a checkpoint
                               only resumes the program that wrote it *)
   p_stratum : int;
@@ -1979,7 +2016,7 @@ type 'sup payload = {
                               the payload indexes into it *)
   p_facts : (string * Database.ifact list) list;
   p_delta : (string * Database.ifact list) list;
-  p_ctrs : rule_ctr array;
+  p_ctrs : 'ctr array;
   p_agg : (int * agg_state) list;
   p_prov : unit option;
       (* the retired first-derivation table: always written [None] and
@@ -2019,6 +2056,25 @@ let image_of_v3 db ((entries, _, _, null_facts, suppressed, _) : v3_support) =
         (fun (sf_rule, ps, img) -> { sf_rule; sf_parents = fids ps; sf_image = fids img })
         suppressed }
 
+(* The per-rule counters of v2–v4 snapshots, before [c_head_probes]
+   was added: Marshal is shape-based, so they are read through this
+   7-field mirror and widened, never as a [rule_ctr]. *)
+type ctr_v4 = {
+  d_firings : int;
+  d_matches : int;
+  d_probes : int;
+  d_nulls : int;
+  d_hits : int;
+  d_misses : int;
+  d_time : float;
+}
+
+let ctrs_of_v4 =
+  Array.map (fun d ->
+      { c_firings = d.d_firings; c_matches = d.d_matches; c_probes = d.d_probes;
+        c_nulls = d.d_nulls; c_hits = d.d_hits; c_misses = d.d_misses;
+        c_head_probes = 0; c_time = d.d_time })
+
 (* Structural mirror of the v2 payload (facts as boxed value arrays, no
    dictionary); the loader re-interns the values. *)
 type ck_payload_v2 = {
@@ -2031,7 +2087,7 @@ type ck_payload_v2 = {
   q_nulls : int;
   q_facts : (string * Database.fact list) list;
   q_delta : (string * Database.fact list) list;
-  q_ctrs : rule_ctr array;
+  q_ctrs : ctr_v4 array;
   q_agg : (int * agg_state) list;
   q_prov : unit option;  (* as [p_prov] *)
   q_sup : v3_support option;
@@ -2040,16 +2096,17 @@ type ck_payload_v2 = {
 let program_fingerprint program =
   Digest.to_hex (Digest.string (Rule.program_to_string program))
 
-(* Load a snapshot and normalize it against [db]'s dictionary: v3/v4
+(* Load a snapshot and normalize it against [db]'s dictionary: v3–v5
    ids are remapped through the serialized dictionary, v2 value facts
    are interned directly, and v2/v3 value-keyed supports are interned
    too. Either way the returned payload's ids are valid in [db] and
-   [p_dict] is spent. Any other version falls through to the strict v4
-   load, whose Storage error names both versions. *)
+   [p_dict] is spent, and v2–v4 counters are widened. Any other version
+   falls through to the strict v5 load, whose Storage error names both
+   versions. *)
 let load_checkpoint db ~label ~fingerprint path =
   let kind = ck_kind label in
   let load version = Kgm_resilience.Snapshot.load ~kind ~version ~path in
-  let remapped (p : _ payload) =
+  let remapped (p : (_, _) payload) =
     let dict = Database.dict db in
     let remap = Array.map (fun v -> Intern.intern dict v) p.p_dict in
     let rf f = Array.map (fun id -> remap.(id)) f in
@@ -2072,16 +2129,23 @@ let load_checkpoint db ~label ~fingerprint path =
             p_dict = [||];
             p_facts = List.map (fun (pr, fl) -> (pr, inf fl)) q.q_facts;
             p_delta = List.map (fun (pr, fl) -> (pr, inf fl)) q.q_delta;
-            p_ctrs = q.q_ctrs;
+            p_ctrs = ctrs_of_v4 q.q_ctrs;
             p_agg = q.q_agg;
             p_prov = None;
             p_sup = Option.map (image_of_v3 db) q.q_sup },
           Fun.id )
     | 3 ->
-        let _, p = remapped (load 3 : v3_support payload) in
-        ({ p with p_sup = Option.map (image_of_v3 db) p.p_sup }, Fun.id)
+        let _, p = remapped (load 3 : (v3_support, ctr_v4) payload) in
+        ( { p with p_sup = Option.map (image_of_v3 db) p.p_sup;
+                   p_ctrs = ctrs_of_v4 p.p_ctrs },
+          Fun.id )
+    | 4 ->
+        let rf, p = remapped (load 4 : (support_image, ctr_v4) payload) in
+        ({ p with p_ctrs = ctrs_of_v4 p.p_ctrs }, fun (pr, f) -> (pr, rf f))
     | _ ->
-        let rf, p = remapped (load ck_version : support_image payload) in
+        let rf, p =
+          remapped (load ck_version : (support_image, rule_ctr) payload)
+        in
         (p, fun (pr, f) -> (pr, rf f))
   in
   if p.p_fingerprint <> fingerprint then
@@ -2478,7 +2542,7 @@ let chase ~first ~options ~support ~telemetry ~journal ~cancel ~checkpoint
       (fun (prep : prepared) ->
         let c = st.ctrs.(prep.rule_id) in
         { rs_id = prep.rule_id;
-          rs_rule = Format.asprintf "%a" Rule.pp_rule prep.rule;
+          rs_rule = prep.rule_text;
           rs_label = prep.head_label;
           rs_firings = c.c_firings;
           rs_matches = c.c_matches;
@@ -2486,6 +2550,7 @@ let chase ~first ~options ~support ~telemetry ~journal ~cancel ~checkpoint
           rs_nulls = c.c_nulls;
           rs_chase_hits = c.c_hits;
           rs_chase_misses = c.c_misses;
+          rs_head_probes = c.c_head_probes;
           rs_time_s = c.c_time })
       prepared
   in
@@ -2521,6 +2586,9 @@ let chase ~first ~options ~support ~telemetry ~journal ~cancel ~checkpoint
       "engine.nulls.invented";
     Kgm_telemetry.count telemetry ~by:stats.chase_hits "engine.chase.hits";
     Kgm_telemetry.count telemetry ~by:stats.chase_misses "engine.chase.misses";
+    Kgm_telemetry.count telemetry
+      ~by:(List.fold_left (fun acc r -> acc + r.rs_head_probes) 0 per_rule)
+      "engine.chase.head_candidates";
     if !cks_written > 0 then
       Kgm_telemetry.count telemetry ~by:!cks_written
         "resilience.checkpoints.written";

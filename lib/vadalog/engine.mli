@@ -135,6 +135,8 @@ type rule_stats = {
   rs_chase_hits : int;     (** restricted-chase homomorphism checks that
                                found an image (invention suppressed) *)
   rs_chase_misses : int;   (** checks that found none (nulls invented) *)
+  rs_head_probes : int;    (** candidate facts the restricted-chase head
+                               checks examined (not in [rs_probes]) *)
   rs_time_s : float;       (** monotonic time evaluating the rule *)
 }
 

@@ -391,6 +391,130 @@ let test_snapshot_v3_support_compat () =
         ref_explained (explain_ad stats))
     [ 1; 2 ]
 
+(* Structural mirror of a v4 snapshot: interned facts, dictionary and
+   support, and per-rule counters of seven fields (no head-check
+   candidate count yet). Their counters must be widened on load, never
+   read as the engine's current eight-field record. *)
+type v4_ctr = {
+  o_firings : int;
+  o_matches : int;
+  o_probes : int;
+  o_nulls : int;
+  o_hits : int;
+  o_misses : int;
+  o_time : float;
+}
+
+type v4_payload = {
+  t_fingerprint : string;
+  t_stratum : int;
+  t_round0_done : bool;
+  t_rounds : int;
+  t_deltas : int list;
+  t_added : int;
+  t_nulls : int;
+  t_dict : Value.t array;
+  t_facts : (string * int array list) list;
+  t_delta : (string * int array list) list;
+  t_ctrs : v4_ctr array;
+  t_agg : (int * int) list;
+  t_prov : int option;
+  t_sup : int option;
+}
+
+let test_snapshot_v4_counters_compat () =
+  let src =
+    {| e(a, b). e(b, c). e(c, d).
+       tc(X, Y) :- e(X, Y).
+       tc(X, Z) :- tc(X, Y), e(Y, Z). |}
+  in
+  let program = V.Parser.parse_program src in
+  let ref_db = V.Database.create () in
+  ignore (V.Engine.run ~options:(jobs 1) program ref_db);
+  let analysis = V.Analysis.stratify program in
+  let stratum =
+    let rec find i = function
+      | [] -> Alcotest.fail "no tc stratum"
+      | preds :: rest -> if List.mem "tc" preds then i else find (i + 1) rest
+    in
+    find 0 analysis.V.Analysis.strata
+  in
+  let v = Value.string in
+  let edges = [ [| 0; 1 |]; [| 1; 2 |]; [| 2; 3 |] ] in
+  (* the snapshot taken after tc's stratum completed its first round,
+     carrying the given counters *)
+  let write name ctrs =
+    let payload =
+      { t_fingerprint =
+          Digest.to_hex (Digest.string (V.Rule.program_to_string program));
+        t_stratum = stratum;
+        t_round0_done = true;
+        t_rounds = 1;
+        t_deltas = [ 3 ];
+        t_added = 3;
+        t_nulls = 1_000_000;
+        t_dict = [| v "a"; v "b"; v "c"; v "d" |];
+        t_facts = [ ("e", edges); ("tc", edges) ];
+        t_delta = [ ("tc", edges) ];
+        t_ctrs = ctrs;
+        t_agg = [];
+        t_prov = None;
+        t_sup = None }
+    in
+    let dir = fresh_dir name in
+    let path = R.Snapshot.path ~dir ~kind:"chase-chase" ~seq:1 in
+    R.Snapshot.save ~kind:"chase-chase" ~version:4 ~path payload;
+    path
+  in
+  let zero =
+    { o_firings = 0; o_matches = 0; o_probes = 0; o_nulls = 0; o_hits = 0;
+      o_misses = 0; o_time = 0. }
+  in
+  let counted =
+    [| { o_firings = 3; o_matches = 5; o_probes = 11; o_nulls = 2;
+         o_hits = 7; o_misses = 13; o_time = 0.5 };
+       { o_firings = 17; o_matches = 19; o_probes = 23; o_nulls = 29;
+         o_hits = 31; o_misses = 37; o_time = 0.25 } |]
+  in
+  let from_zero = write "v4zero" [| zero; zero |] in
+  let from_counted = write "v4ctrs" counted in
+  List.iter
+    (fun n ->
+      let resume path =
+        let db = V.Database.create () in
+        let stats = V.Engine.run ~options:(jobs n) ~resume_from:path program db in
+        check Alcotest.bool
+          (Printf.sprintf "v4 resume (jobs=%d) equals fresh" n)
+          true
+          (Test_parallel.canon ref_db = Test_parallel.canon db);
+        stats.V.Engine.per_rule
+      in
+      let base = resume from_zero and got = resume from_counted in
+      check Alcotest.int "two rules" 2 (List.length got);
+      (* the resumed run adds exactly its own work to the stored counts *)
+      List.iteri
+        (fun i ((b : V.Engine.rule_stats), (g : V.Engine.rule_stats)) ->
+          let c = counted.(i) in
+          let eq what stored field =
+            check Alcotest.int
+              (Printf.sprintf "jobs=%d rule %d %s" n i what)
+              (stored + field b) (field g)
+          in
+          eq "firings" c.o_firings (fun s -> s.V.Engine.rs_firings);
+          eq "matches" c.o_matches (fun s -> s.V.Engine.rs_matches);
+          eq "probes" c.o_probes (fun s -> s.V.Engine.rs_probes);
+          eq "nulls" c.o_nulls (fun s -> s.V.Engine.rs_nulls);
+          eq "hits" c.o_hits (fun s -> s.V.Engine.rs_chase_hits);
+          eq "misses" c.o_misses (fun s -> s.V.Engine.rs_chase_misses);
+          eq "head probes" 0 (fun s -> s.V.Engine.rs_head_probes);
+          check Alcotest.bool
+            (Printf.sprintf "jobs=%d rule %d time carried" n i)
+            true
+            (g.V.Engine.rs_time_s >= c.o_time
+            && g.V.Engine.rs_time_s < c.o_time +. 60.))
+        (List.combine base got))
+    [ 1; 2 ]
+
 let suite =
   [ ("intern/resolve bijection on hostile values", `Quick, test_bijection);
     ("scratch ids are negative, stable, isolated", `Quick, test_scratch);
@@ -400,4 +524,6 @@ let suite =
      test_snapshot_v3_roundtrip);
     ("v2 boxed-fact snapshot still resumes", `Quick, test_snapshot_v2_compat);
     ("v3 snapshot with support still resumes", `Quick,
-     test_snapshot_v3_support_compat) ]
+     test_snapshot_v3_support_compat);
+    ("v4 snapshot with counters still resumes", `Quick,
+     test_snapshot_v4_counters_compat) ]

@@ -285,8 +285,8 @@ let warded_src =
      mgr(X, M) :- emp(X).
      emp(M) :- mgr(X, M). |}
 
-let run_warded () =
-  V.Engine.run_program (V.Parser.parse_program warded_src)
+let run_warded ?(options = V.Engine.default_options) () =
+  V.Engine.run_program ~options (V.Parser.parse_program warded_src)
 
 let test_engine_counters_deterministic () =
   let _, s1 = run_warded () in
@@ -309,20 +309,41 @@ let test_engine_counters_deterministic () =
        check Alcotest.int "emp firings" 3 emp_rule.V.Engine.rs_firings;
        check Alcotest.int "mgr nulls" 3 mgr_rule.V.Engine.rs_nulls;
        check Alcotest.int "emp nulls" 0 emp_rule.V.Engine.rs_nulls;
-       check Alcotest.bool "mgr probed" true (mgr_rule.V.Engine.rs_probes > 0)
+       check Alcotest.bool "mgr probed" true (mgr_rule.V.Engine.rs_probes > 0);
+       (* the head checks examine mgr facts: one per hit, none on the
+          three misses over an empty mgr *)
+       check Alcotest.int "mgr head candidates" 3
+         mgr_rule.V.Engine.rs_head_probes;
+       check Alcotest.int "emp head candidates" 0
+         emp_rule.V.Engine.rs_head_probes
    | l -> Alcotest.failf "expected 2 per-rule entries, got %d" (List.length l));
   (* the second run must report identical counters (determinism) *)
   let strip s =
     List.map
       (fun r ->
-        ( r.V.Engine.rs_id, r.V.Engine.rs_label, r.V.Engine.rs_firings,
-          r.V.Engine.rs_matches, r.V.Engine.rs_probes, r.V.Engine.rs_nulls,
-          r.V.Engine.rs_chase_hits, r.V.Engine.rs_chase_misses ))
+        ( ( r.V.Engine.rs_id, r.V.Engine.rs_label, r.V.Engine.rs_firings,
+            r.V.Engine.rs_matches, r.V.Engine.rs_probes, r.V.Engine.rs_nulls ),
+          ( r.V.Engine.rs_chase_hits, r.V.Engine.rs_chase_misses,
+            r.V.Engine.rs_head_probes ) ))
       s.V.Engine.per_rule
   in
   check Alcotest.bool "per-rule deterministic" true (strip s1 = strip s2);
   check Alcotest.bool "delta sizes deterministic" true
-    (s1.V.Engine.delta_sizes = s2.V.Engine.delta_sizes)
+    (s1.V.Engine.delta_sizes = s2.V.Engine.delta_sizes);
+  (* the chase-check counters, head candidates included, repeat
+     exactly across worker counts and with the planner off *)
+  let checks s = List.map snd (strip s) in
+  List.iter
+    (fun (jobs, planner) ->
+      let _, s =
+        run_warded
+          ~options:{ V.Engine.default_options with V.Engine.jobs; planner } ()
+      in
+      check Alcotest.bool
+        (Printf.sprintf "chase checks at jobs=%d planner=%b" jobs planner)
+        true
+        (checks s = checks s1))
+    [ (1, true); (1, false); (2, true); (2, false) ]
 
 let test_engine_spans () =
   let tele = T.create () in

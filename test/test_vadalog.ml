@@ -316,6 +316,50 @@ let test_multi_atom_head () =
   let stats = V.Engine.run p db2 in
   check Alcotest.int "idempotent" 0 stats.V.Engine.new_facts
 
+(* A body-bound labeled null may map onto ANY value in the restricted
+   chase's head check, constants included — the semantics DESIGN §9
+   (Deviations) pins down. Here the null N of q("a", N) maps onto the
+   constant "c" of s("c", "d"), so s(N, M) is never invented and the
+   certain answer t("a") is lost. Algorithm 2 reruns depend on this
+   mapping (a derived edge's null maps onto its flushed constant-id
+   edge), so the test pins today's result. *)
+let test_body_null_maps_to_constant () =
+  let db, stats = run
+      {| p("a"). s("c", "d").
+         q(X, N) :- p(X).
+         s(N, M) :- q(X, N).
+         t(X) :- q(X, N), s(N, M). |}
+  in
+  check Alcotest.int "no t derived" 0 (List.length (facts db "t"));
+  check Alcotest.int "s not extended" 1 (List.length (facts db "s"));
+  check Alcotest.int "q's null invented" 1 stats.V.Engine.nulls_invented;
+  check Alcotest.int "s check hits a constant image" 1 stats.V.Engine.chase_hits
+
+(* The head check searches its atoms most-constrained first: on a rerun
+   of an Algorithm 2-shaped rule (a body-bound edge null E shared by
+   four head atoms, only the endpoint atoms selective before E is
+   mapped) each check streams the smallest endpoint group, maps E, and
+   then finds every other atom keyed on E: one candidate per head atom.
+   A written-order search would stream all edges for ed(E, o) first. *)
+let test_head_check_most_constrained_first () =
+  let src =
+    {| src(a, b). src(a, c). src(a, d). src(b, c). src(c, d). src(d, e).
+       link(A, B, E) :- src(A, B).
+       ed(E, o), ref(R, E, t, o), from(F, E, A, o), to(G, E, B, o) :-
+         link(A, B, E). |}
+  in
+  let p = V.Parser.parse_program src in
+  let db, _ = V.Engine.run_program p in
+  let again = V.Engine.run p db in
+  check Alcotest.int "rerun idempotent" 0 again.V.Engine.new_facts;
+  match again.V.Engine.per_rule with
+  | [ link; edge ] ->
+      check Alcotest.int "link checks hit" 6 link.V.Engine.rs_chase_hits;
+      check Alcotest.int "edge checks hit" 6 edge.V.Engine.rs_chase_hits;
+      check Alcotest.int "edge head candidates" (6 * 4)
+        edge.V.Engine.rs_head_probes
+  | l -> Alcotest.failf "expected 2 per-rule entries, got %d" (List.length l)
+
 (* ------------------------------------------------------------------ *)
 (* Analysis *)
 
@@ -469,6 +513,10 @@ let suite =
     ("oblivious chase hits budget", `Quick, test_oblivious_chase_budget);
     ("linker skolem reuse", `Quick, test_skolem_reuse);
     ("multi-atom heads share existentials", `Quick, test_multi_atom_head);
+    ("body nulls map onto constants (DESIGN §9)", `Quick,
+     test_body_null_maps_to_constant);
+    ("head check: most-constrained atom first", `Quick,
+     test_head_check_most_constrained_first);
     ("wardedness: positive case", `Quick, test_wardedness_ok);
     ("wardedness: violation", `Quick, test_wardedness_violation);
     ("check_wardedness option", `Quick, test_check_wardedness_option);
