@@ -1184,8 +1184,8 @@ let observability_bench () =
    ownership graph: independent 5-company chains (company + own EDB),
    with the reach closure derived from the chains whose heads carry a
    [seed] marker — the 16 queried heads plus the scratch chain. The
-   extensional bulk rides through every epoch copy/freeze/publish and
-   its indexes back every lookup, while the recursive rules touch only
+   extensional bulk is shared by every published epoch and its indexes
+   back every lookup, while the recursive rules touch only
    the seeded chains, keeping materialization linear in n (chasing the
    full closure over 10^6 facts is the open chase-scalability item in
    ROADMAP.md, not what this bench measures). Phases, all closed-loop
@@ -1197,13 +1197,20 @@ let observability_bench () =
      keepalive — persistent connections, one request in flight
      pipelined — persistent connections, depth-16 pipelining
      contended — keepalive while a writer streams update batches that
-                 only touch a scratch chain: every batch re-publishes
-                 a fresh million-fact epoch, query answers must stay
-                 bit-identical across workers x epochs
+                 only touch a scratch chain: every batch publishes a
+                 new epoch of the million-fact session, query answers
+                 must stay bit-identical across workers x epochs
+
+   A last phase times update batches alone: alternating inserts and
+   retractions of the scratch edge, p50/p99 per kind with the median
+   maintain and publish times and copy-on-write facts the server
+   reports. An insert copies the stores it writes (own, reach) on
+   write; a retraction sweeps them, which copies nothing.
 
    The CI guard over BENCH_server.json asserts keep-alive beats close,
    contended within 10% of keepalive on req/s and p99, identical
-   answers, shed = 0 and epoch = batches applied. KGM_BENCH_N
+   answers, shed = 0, epoch = batches applied and no copy-on-write in
+   a retraction. KGM_BENCH_N
    overrides the fact count; KGM_BENCH_REQS the per-client request
    count. *)
 let server_bench () =
@@ -1459,6 +1466,52 @@ let server_bench () =
     absorb 2 (run_phase `Pipelined);
     absorb 3 (under_stream (fun () -> run_phase `Keepalive))
   done;
+  (* update latency: alternate insert/retract batches of the scratch
+     edge, one at a time and with no reader running, timing each at
+     the client and reading where the server spent it from the reply
+     ([maintain_ms=], [publish_ms=], [cow_facts=]) *)
+  let update_pairs = 50 in
+  let updates =
+    List.init (2 * update_pairs) (fun k ->
+        let insert = k mod 2 = 0 in
+        let body =
+          Printf.sprintf "%sown(%d, %d, 0.6).\n"
+            (if insert then "+" else "-") scratch (scratch + 1)
+        in
+        let t0 = Unix.gettimeofday () in
+        let code, reply =
+          Kgm_server.Client.request ~body ~sock ~meth:"POST" ~path:"/update" ()
+        in
+        let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+        if code <> 200 then failwith (Printf.sprintf "update answered %d" code);
+        Atomic.incr batches;
+        let field k =
+          List.find_map
+            (fun w ->
+              match String.split_on_char '=' w with
+              | [ k'; v ] when k' = k -> float_of_string_opt v
+              | _ -> None)
+            (String.split_on_char ' ' (String.trim reply))
+          |> Option.value ~default:nan
+        in
+        (insert, (ms, field "maintain_ms", field "publish_ms", field "cow_facts")))
+  in
+  let update_kind insert =
+    let xs = List.filter_map (fun (i, x) -> if i = insert then Some x else None) updates in
+    let sorted f = List.sort Float.compare (List.map f xs) in
+    let q p f =
+      let a = Array.of_list (sorted f) in
+      a.(int_of_float (p *. float_of_int (Array.length a - 1)))
+    in
+    ( List.length xs,
+      q 0.5 (fun (ms, _, _, _) -> ms),
+      q 0.99 (fun (ms, _, _, _) -> ms),
+      q 0.5 (fun (_, m, _, _) -> m),
+      q 0.5 (fun (_, _, p, _) -> p),
+      q 0.5 (fun (_, _, _, c) -> c),
+      q 1.0 (fun (_, _, _, c) -> c) )
+  in
+  let ins = update_kind true and ret = update_kind false in
   Kgm_server.drain srv;
   let stats = Kgm_server.run_until_drained srv in
   let applied = Atomic.get batches in
@@ -1525,6 +1578,14 @@ let server_bench () =
     ct_p50_delta ct_p99_delta !all_identical applied
     stats.Kgm_server.st_epoch stats.Kgm_server.st_shed
     stats.Kgm_server.st_faults;
+  say
+    "@.update latency (%d batches each kind, no concurrent readers):@.\
+     %8s | %8s | %8s | %11s | %10s | %9s@."
+    update_pairs "batch" "p50 ms" "p99 ms" "maintain ms" "publish ms" "cow facts";
+  List.iter
+    (fun (name, (_, p50, p99, m, pub, cow, _)) ->
+      say "%8s | %8.2f | %8.2f | %11.2f | %10.3f | %9.0f@." name p50 p99 m pub cow)
+    [ ("insert", ins); ("retract", ret) ];
   let oc = open_out "BENCH_server.json" in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n  \"experiment\": \"server-throughput\",\n";
@@ -1552,6 +1613,15 @@ let server_bench () =
   p "  \"contended_p50_delta_ms\": %.4f,\n" ct_p50_delta;
   p "  \"contended_p99_delta_ms\": %.4f,\n" ct_p99_delta;
   p "  \"identical_answers\": %b,\n" !all_identical;
+  let kind name (n, p50, p99, m, pub, cow, cow_max) =
+    p
+      "  \"%s\": { \"batches\": %d, \"p50_ms\": %.3f, \"p99_ms\": %.3f, \
+       \"maintain_ms\": %.3f, \"publish_ms\": %.4f, \"cow_facts\": %.0f, \
+       \"cow_facts_max\": %.0f },\n"
+      name n p50 p99 m pub cow cow_max
+  in
+  kind "update_insert" ins;
+  kind "update_retract" ret;
   p "  \"update_batches\": %d,\n" applied;
   p "  \"epoch\": %d,\n" stats.Kgm_server.st_epoch;
   p "  \"shed\": %d,\n" stats.Kgm_server.st_shed;

@@ -3,11 +3,15 @@
     equality and cheap hashing (the standard dictionary-encoding move in
     triple stores and KG engines).
 
-    The table is deliberately unsynchronized. The engine guarantees that
-    it is mutated only on sequential paths (program load, rule
-    preparation, round 0, the merge sweep, resume); while the database
-    is frozen for a parallel round, pool workers use only the read-only
-    [find]/[resolve]/[is_null]. Values a worker computes that are not in
+    Writers are unsynchronized: the engine guarantees that the table is
+    mutated only on sequential paths (program load, rule preparation,
+    round 0, the merge sweep, resume); while the database is frozen for
+    a parallel round, pool workers use only the read-only
+    [find]/[resolve]/[is_null]. Those readers are safe beside one
+    concurrent writer and take no lock: a value interned before a
+    [find] started is always found (the table never resizes in place),
+    which is what the reasoning server's epoch readers rely on while an
+    update interns its batch. Values a worker computes that are not in
     the dictionary get worker-local negative ids from {!Scratch} and are
     re-interned sequentially at merge, which keeps id assignment — and
     therefore every downstream artifact — deterministic across
@@ -25,7 +29,8 @@ val intern : t -> Value.t -> int
     frozen for a parallel round). *)
 
 val find : t -> Value.t -> int option
-(** Read-only lookup; safe from pool workers. *)
+(** Read-only lookup; safe from pool workers and beside a concurrent
+    {!intern}. *)
 
 val resolve : t -> int -> Value.t
 (** The value of an id. Raises [Invalid_argument] on an unknown id. *)

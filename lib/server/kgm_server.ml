@@ -697,18 +697,25 @@ let registered_patterns t =
 
 (* publish the master as a fresh frozen epoch. Under writer_mu. Every
    probe pattern the query surface has used so far is index-prepared on
-   the copy *before* it freezes, so readers of the new epoch never pay
-   the frozen-store linear-scan fallback for a known pattern. The
-   "swap" fault site is transient: wrapped in the retry loop, bounded
-   by the drain token. A publish that exhausts its retries leaves the
-   previous epoch visible — readers stay consistent, the next
-   successful swap publishes everything since. *)
-let publish t =
-  let db = DB.copy (Inc.db t.session) in
-  if DB.is_frozen db then DB.thaw db;
+   the master, where it is then maintained by every write, so readers
+   of the new epoch never pay the frozen-store linear-scan fallback for
+   a known pattern. The epoch is a copy-on-write copy of the master:
+   O(#predicates), sharing every store (the master copies a store the
+   first time it writes it again). The "swap" fault site is transient:
+   wrapped in the retry loop, bounded by the drain token. A publish
+   that exhausts its retries leaves the previous epoch visible —
+   readers stay consistent, the next successful swap publishes
+   everything since. Returns the publish time in seconds and the facts
+   the master copied by copy-on-write since it was [db0] with [cow0]
+   copied (the update's maintenance and this publish; a re-chase
+   fallback starts a fresh master). *)
+let publish t ~maintain_s ~since:(db0, cow0) =
+  let t0 = Kgm_telemetry.Clock.now () in
+  let master = Inc.db t.session in
   List.iter
-    (fun (pred, positions) -> DB.prepare_index db pred positions)
+    (fun (pred, positions) -> DB.prepare_index master pred positions)
     (registered_patterns t);
+  let db = DB.copy master in
   DB.freeze db;
   t.epoch_ctr <- t.epoch_ctr + 1;
   let id = t.epoch_ctr in
@@ -717,9 +724,16 @@ let publish t =
     (fun () ->
       Faults.inject "swap";
       Atomic.set t.epoch { ep_id = id; ep_db = db; ep_cache = DB.cache_create () });
+  let publish_s = Kgm_telemetry.Clock.now () -. t0 in
+  let cow = DB.cow_facts master - if master == db0 then cow0 else 0 in
+  Kgm_telemetry.observe t.tele "server.maintain_s" maintain_s;
+  Kgm_telemetry.observe t.tele "server.publish_s" publish_s;
   if Journal.enabled t.jr then
     Journal.emit t.jr "server.swap"
-      [ ("epoch", J.Int id); ("facts", J.Int (DB.total db)) ]
+      [ ("epoch", J.Int id); ("facts", J.Int (DB.total db));
+        ("maintain_ms", J.Float (maintain_s *. 1e3));
+        ("publish_ms", J.Float (publish_s *. 1e3)); ("cow_facts", J.Int cow) ];
+  (publish_s, cow)
 
 (* write a session snapshot; failures are absorbed (journaled and
    counted) — a persistence hiccup must not fail the update that
@@ -754,21 +768,26 @@ let handle_update t body =
   let batch = Batch.parse body in
   let inserts, retracts = Batch.split batch in
   with_lock t.writer_mu (fun () ->
+      let db0 = Inc.db t.session in
+      let since = (db0, DB.cow_facts db0) in
       let u =
         Inc.maintain ~telemetry:t.tele ~journal:t.jr t.session ~inserts
           ~retracts
       in
+      let maintain_s = u.Inc.u_elapsed_s in
       Atomic.incr t.c_updates;
-      publish t;
+      let publish_s, cow = publish t ~maintain_s ~since in
       if Atomic.get t.c_updates mod t.cfg.snapshot_every = 0 then
         ignore (try_snapshot t);
       ok
         (Printf.sprintf
            "ok epoch=%d inserted=%d retracted=%d derived=%d deleted=%d \
-            rederived=%d rounds=%d strata=%d agg_groups=%d fallback=%b\n"
+            rederived=%d rounds=%d strata=%d agg_groups=%d fallback=%b \
+            maintain_ms=%.3f publish_ms=%.3f cow_facts=%d\n"
            t.epoch_ctr u.Inc.u_inserted u.Inc.u_retracted u.Inc.u_derived
            u.Inc.u_deleted u.Inc.u_rederived u.Inc.u_rounds u.Inc.u_strata
-           u.Inc.u_agg_groups u.Inc.u_fallback))
+           u.Inc.u_agg_groups u.Inc.u_fallback (maintain_s *. 1e3)
+           (publish_s *. 1e3) cow))
 
 let handle_explain t body =
   let s = String.trim body in

@@ -106,11 +106,17 @@ let postings_add ps seq =
   ps.p_seq.(ps.p_len) <- seq;
   ps.p_len <- ps.p_len + 1
 
+(* Store ownership: a store with [shared = false] is reachable from
+   exactly one database, which may mutate it in place. {!copy} marks
+   every store it hands out [shared]; a shared store is never mutated
+   again — the first write through any database holding it (an add, an
+   index build, a removal sweep) swaps a private table copy in first. *)
 type pred_store = {
   mutable arr : ifact array;  (* arr.(0 .. count-1) in insertion order *)
   mutable count : int;
   seqs : int IFactTbl.t;      (* dedup set: fact -> insertion sequence *)
   indexes : (int list, postings IKeyTbl.t) Hashtbl.t;
+  mutable shared : bool;      (* reachable from another database *)
 }
 
 type t = {
@@ -119,11 +125,13 @@ type t = {
   mutable total : int;
   mutable frozen : bool;
   mutable removals : int;  (* remove_batch sweeps that removed facts *)
+  mutable cow_facts : int;  (* facts copied by copy-on-write swaps *)
 }
 
 let create ?dict () =
   let dict = match dict with Some d -> d | None -> Intern.create () in
-  { preds = Hashtbl.create 64; dict; total = 0; frozen = false; removals = 0 }
+  { preds = Hashtbl.create 64; dict; total = 0; frozen = false; removals = 0;
+    cow_facts = 0 }
 
 let dict t = t.dict
 let intern_fact t (f : fact) : ifact = Array.map (Intern.intern t.dict) f
@@ -160,10 +168,39 @@ let store t pred =
   | Some s -> s
   | None ->
       let s =
-        { arr = [||]; count = 0; seqs = IFactTbl.create 256; indexes = Hashtbl.create 4 }
+        { arr = [||]; count = 0; seqs = IFactTbl.create 256; indexes = Hashtbl.create 4;
+          shared = false }
       in
       Hashtbl.add t.preds pred s;
       s
+
+(* A private copy of a store, by table copy: the fact arrays are
+   immutable and shared, the dedup set and the indexes are copied
+   bucket by bucket (nothing is re-hashed), postings trimmed to their
+   length. *)
+let copy_index idx =
+  let c = IKeyTbl.copy idx in
+  IKeyTbl.filter_map_inplace
+    (fun _ ps -> Some { p_seq = Array.sub ps.p_seq 0 ps.p_len; p_len = ps.p_len })
+    c;
+  c
+
+let private_copy s =
+  let indexes = Hashtbl.create (max 4 (Hashtbl.length s.indexes)) in
+  Hashtbl.iter (fun positions idx -> Hashtbl.add indexes positions (copy_index idx)) s.indexes;
+  { arr = Array.sub s.arr 0 s.count; count = s.count; seqs = IFactTbl.copy s.seqs;
+    indexes; shared = false }
+
+(* [s], the store of [pred] in [t], made safe to mutate: a shared
+   store is first replaced in [t] by a private copy. *)
+let writable t pred s =
+  if not s.shared then s
+  else begin
+    let s' = private_copy s in
+    Hashtbl.replace t.preds pred s';
+    t.cow_facts <- t.cow_facts + s.count;
+    s'
+  end
 
 (* A predicate may hold facts of several arities (nothing enforces a
    unique arity per name); a fact too short for the position pattern
@@ -205,6 +242,7 @@ let add_i t pred (fact : ifact) =
   let s = store t pred in
   if IFactTbl.mem s.seqs fact then false
   else begin
+    let s = writable t pred s in
     let seq = s.count in
     IFactTbl.add s.seqs fact seq;
     buffer_append s fact;
@@ -244,83 +282,137 @@ let total t = t.total
 let predicates t =
   Hashtbl.fold (fun p _ acc -> p :: acc) t.preds [] |> List.sort String.compare
 
-let build_index s positions =
+(* the pattern's index over [s], not attached to it *)
+let build_detached s positions =
   let idx = IKeyTbl.create (max 64 s.count) in
   for i = 0 to s.count - 1 do
     index_insert idx positions s.arr.(i) i
   done;
+  idx
+
+(* [s] must be writable *)
+let build_index s positions =
+  let idx = build_detached s positions in
   Hashtbl.add s.indexes positions idx;
   idx
 
+(* Renumber [s]'s index postings through [remap] (old seq -> new seq,
+   -1 for a removed fact), dropping emptied keys. A private store's
+   postings are compacted in place (no allocation); a shared one's are
+   renumbered into fresh postings of a fresh table, leaving the shared
+   tables untouched (re-adding the keys measured cheaper than a table
+   copy compacted by [filter_map_inplace]: no option or copied cell per
+   key). *)
+let compact_indexes s remap =
+  let renumber ps out =
+    let n = ref 0 in
+    for i = 0 to ps.p_len - 1 do
+      let j = remap.(ps.p_seq.(i)) in
+      if j >= 0 then begin
+        out.(!n) <- j;
+        incr n
+      end
+    done;
+    !n
+  in
+  let compact idx =
+    if s.shared then begin
+      let fresh = IKeyTbl.create (IKeyTbl.length idx) in
+      IKeyTbl.iter
+        (fun k ps ->
+          let out = Array.make ps.p_len 0 in
+          let n = renumber ps out in
+          if n > 0 then IKeyTbl.add fresh k { p_seq = out; p_len = n })
+        idx;
+      fresh
+    end
+    else begin
+      let emptied = ref [] in
+      IKeyTbl.iter
+        (fun k ps ->
+          ps.p_len <- renumber ps ps.p_seq;
+          if ps.p_len = 0 then emptied := k :: !emptied)
+        idx;
+      List.iter (IKeyTbl.remove idx) !emptied;
+      idx
+    end
+  in
+  let indexes = Hashtbl.create (max 4 (Hashtbl.length s.indexes)) in
+  Hashtbl.iter (fun positions idx -> Hashtbl.add indexes positions (compact idx)) s.indexes;
+  indexes
+
 (** [remove_batch t facts] deletes every listed (pred, fact) pair that
     is present and returns how many were removed. Each affected
-    predicate store is rebuilt in one sweep: survivors keep their
-    relative order and are renumbered densely from 0, and the store's
-    index patterns are rebuilt over the survivors — so after a removal
-    the store is indistinguishable from one into which only the
-    survivors were ever inserted, which is what the incremental
+    predicate gets a fresh store derived in one sweep: survivors keep
+    their relative order and are renumbered densely from 0, and the
+    dedup set and every index pattern are compacted through one
+    old→new sequence map (into fresh tables when the store was shared:
+    the dedup set by table copy, nothing re-hashed) — so after a
+    removal the store is indistinguishable from one into which only
+    the survivors were ever inserted, which is what the incremental
     maintenance layer's determinism argument needs. Duplicates in
     [facts] are counted once. Raises [Invalid_argument] when frozen.
-    (The dictionary is append-only: ids of removed facts stay interned,
-    which is harmless — membership is decided by the dedup set.) *)
+    (The dictionary is append-only: ids of removed facts stay
+    interned, which is harmless — membership is decided by the dedup
+    set.) *)
 let remove_batch ?on_remove t facts =
   if t.frozen then invalid_arg "Database.remove_batch: database is frozen";
-  (* group the doomed facts per predicate, dedup'd via a probe table *)
-  let by_pred : (string, unit IFactTbl.t) Hashtbl.t = Hashtbl.create 8 in
+  (* the doomed sequence numbers, per predicate *)
+  let by_pred : (string, pred_store * int list ref) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (pred, ifact) ->
-      if mem_i t pred ifact then begin
-        let set =
-          match Hashtbl.find_opt by_pred pred with
-          | Some s -> s
-          | None ->
-              let s = IFactTbl.create 16 in
-              Hashtbl.add by_pred pred s;
-              s
-        in
-        IFactTbl.replace set ifact ()
-      end)
+      match Hashtbl.find_opt t.preds pred with
+      | None -> ()
+      | Some s -> (
+          match IFactTbl.find_opt s.seqs ifact with
+          | None -> ()
+          | Some seq -> (
+              match Hashtbl.find_opt by_pred pred with
+              | Some (_, seqs) -> seqs := seq :: !seqs
+              | None -> Hashtbl.add by_pred pred (s, ref [ seq ]))))
     facts;
   let notify pred ifact =
     match on_remove with Some f -> f pred ifact | None -> ()
   in
   let removed = ref 0 in
   Hashtbl.iter
-    (fun pred doomed ->
-      match Hashtbl.find_opt t.preds pred with
-      | None -> ()
-      | Some s ->
-          let patterns =
-            Hashtbl.fold (fun positions _ acc -> positions :: acc) s.indexes []
-          in
-          let old_arr = s.arr and old_count = s.count in
-          s.arr <- [||];
-          s.count <- 0;
-          IFactTbl.reset s.seqs;
-          Hashtbl.reset s.indexes;
-          for i = 0 to old_count - 1 do
-            let fact = old_arr.(i) in
-            if IFactTbl.mem doomed fact then begin
-              incr removed;
-              t.total <- t.total - 1;
-              notify pred fact
-            end
-            else begin
-              let seq = s.count in
-              IFactTbl.add s.seqs fact seq;
-              buffer_append s fact
-            end
-          done;
-          if s.count = 0 then
-            (* a predicate emptied by the sweep disappears entirely:
-               keeping a ghost store would make [predicates] (and the
-               maintenance layer's canonical forms) disagree with a
-               database into which only the survivors were inserted *)
-            Hashtbl.remove t.preds pred
-          else
-            List.iter
-              (fun positions -> ignore (build_index s positions))
-              patterns)
+    (fun pred (s, doomed) ->
+      (* remap.(old seq) = new seq, or -1 for a removed fact *)
+      let remap = Array.make s.count 0 in
+      List.iter (fun seq -> remap.(seq) <- -1) !doomed;
+      let n = ref 0 in
+      for i = 0 to s.count - 1 do
+        if remap.(i) < 0 then begin
+          incr removed;
+          t.total <- t.total - 1;
+          notify pred s.arr.(i)
+        end
+        else begin
+          remap.(i) <- !n;
+          incr n
+        end
+      done;
+      if !n = 0 then
+        (* a predicate emptied by the sweep disappears entirely:
+           keeping a ghost store would make [predicates] (and the
+           maintenance layer's canonical forms) disagree with a
+           database into which only the survivors were inserted *)
+        Hashtbl.remove t.preds pred
+      else begin
+        let arr = Array.make !n [||] in
+        for i = 0 to s.count - 1 do
+          let j = remap.(i) in
+          if j >= 0 then arr.(j) <- s.arr.(i)
+        done;
+        let seqs = if s.shared then IFactTbl.copy s.seqs else s.seqs in
+        IFactTbl.filter_map_inplace
+          (fun _ seq ->
+            let j = remap.(seq) in
+            if j < 0 then None else Some j)
+          seqs;
+        Hashtbl.replace t.preds pred
+          { arr; count = !n; seqs; indexes = compact_indexes s remap; shared = false }
+      end)
     by_pred;
   if !removed > 0 then t.removals <- t.removals + 1;
   !removed
@@ -336,7 +428,8 @@ let prepare_index t pred positions =
     match Hashtbl.find_opt t.preds pred with
     | None -> ()
     | Some s ->
-        if not (Hashtbl.mem s.indexes positions) then ignore (build_index s positions)
+        if not (Hashtbl.mem s.indexes positions) then
+          ignore (build_index (writable t pred s) positions)
 
 let indexed_patterns t pred =
   match Hashtbl.find_opt t.preds pred with
@@ -347,14 +440,16 @@ let indexed_patterns t pred =
 
 (* How a probe on [positions] is served: the whole predicate for the
    empty pattern, else its index — built first on an unfrozen store —
-   or, on a frozen store without one, a linear scan. *)
-let served_by t s positions =
+   or, on a frozen store without one, a linear scan. Building on a
+   shared [s] swaps in a private copy first; [s] itself still holds the
+   same facts at the same sequences, so the caller may keep reading it. *)
+let served_by t pred s positions =
   if positions = [] then `Whole
   else
     match Hashtbl.find_opt s.indexes positions with
     | Some idx -> `Index idx
     | None when t.frozen -> `Scan
-    | None -> `Index (build_index s positions)
+    | None -> `Index (build_index (writable t pred s) positions)
 
 (** [iter_matches_i t pred positions key f] calls [f seq ifact] for
     every fact whose ids at [positions] equal [key], in ascending
@@ -372,7 +467,7 @@ let iter_matches_i t pred positions key f =
       (* [f] may append to the store: the probe visits, and counts, only
          the facts present when it started *)
       let n = s.count in
-      match served_by t s positions with
+      match served_by t pred s positions with
       | `Whole ->
           for i = 0 to n - 1 do
             f i s.arr.(i)
@@ -403,18 +498,17 @@ let probe_cost t pred positions key =
   match Hashtbl.find_opt t.preds pred with
   | None -> 0
   | Some s -> (
-      match served_by t s positions with
+      match served_by t pred s positions with
       | `Whole | `Scan -> s.count
       | `Index idx -> (
           match IKeyTbl.find_opt idx key with Some ps -> ps.p_len | None -> 0))
 
-let nth_i t pred =
+(* the store is looked up per call: a closure over it would read a
+   stale store after a copy-on-write swap *)
+let nth_i t pred seq =
   match Hashtbl.find_opt t.preds pred with
-  | Some s ->
-      fun seq ->
-        if seq < 0 || seq >= s.count then invalid_arg "Database.nth_i";
-        s.arr.(seq)
-  | None -> fun _ -> invalid_arg "Database.nth_i"
+  | Some s when seq >= 0 && seq < s.count -> s.arr.(seq)
+  | _ -> invalid_arg "Database.nth_i"
 
 let iter_range t pred ~lo ~hi f =
   match Hashtbl.find_opt t.preds pred with
@@ -471,14 +565,6 @@ let cached_patterns c =
   Mutex.unlock c.ic_mu;
   List.sort compare ps
 
-(* build the pattern's index without attaching it to the store *)
-let build_detached s positions =
-  let idx = IKeyTbl.create (max 64 s.count) in
-  for i = 0 to s.count - 1 do
-    index_insert idx positions s.arr.(i) i
-  done;
-  idx
-
 let cache_index c t pred positions =
   match Hashtbl.find_opt t.preds pred with
   | None -> None
@@ -521,22 +607,21 @@ let iter_matches_cached c t pred positions key f =
                 ps.p_len
             | None -> 0))
 
+(* The copy shares every store, with its indexes, and marks it shared:
+   O(#predicates). The dictionary is shared too: ids remain stable
+   across copies, which lets the engine compare and ship interned facts
+   between a store and its frozen snapshot. *)
 let copy t =
-  (* the dictionary is shared: ids remain stable across copies, which
-     lets the engine compare and ship interned facts between a store
-     and its frozen snapshot *)
-  let t' = create ~dict:t.dict () in
-  Hashtbl.iter
-    (fun pred s ->
-      for i = 0 to s.count - 1 do
-        ignore (add_i t' pred (Array.copy s.arr.(i)))
-      done;
-      (* carry the source's index patterns over: a frozen copy could
-         otherwise never build them and would linear-scan every probe *)
-      Hashtbl.iter (fun positions _ -> prepare_index t' pred positions) s.indexes)
-    t.preds;
-  t'.frozen <- t.frozen;
-  t'
+  Hashtbl.iter (fun _ s -> s.shared <- true) t.preds;
+  { preds = Hashtbl.copy t.preds; dict = t.dict; total = t.total; frozen = t.frozen;
+    removals = 0; cow_facts = 0 }
+
+let cow_facts t = t.cow_facts
+
+let same_store a b pred =
+  match (Hashtbl.find_opt a.preds pred, Hashtbl.find_opt b.preds pred) with
+  | Some s, Some s' -> s == s'
+  | _ -> false
 
 let pp ppf t =
   List.iter

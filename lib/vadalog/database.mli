@@ -138,10 +138,12 @@ val probe_cost : t -> string -> int list -> int list -> int
     it. *)
 
 val nth_i : t -> string -> int -> ifact
-(** [nth_i t pred] reads [pred]'s facts by insertion sequence (the
-    [seq] {!iter_matches_i} reports); apply it to [pred] once, then to
-    any number of sequences. Raises [Invalid_argument] on a sequence
-    out of range. *)
+(** [nth_i t pred seq] reads [pred]'s fact of insertion sequence [seq]
+    (the [seq] {!iter_matches_i} reports). [nth_i t pred] may be kept
+    and applied to any number of sequences, across writes: it resolves
+    [pred]'s current store on every call, so it never reads a store a
+    copy-on-write swap has replaced. Raises [Invalid_argument] on a
+    sequence out of range. *)
 
 val iter_range : t -> string -> lo:int -> hi:int -> (int -> ifact -> unit) -> unit
 (** [iter_range t pred ~lo ~hi f] calls [f seq ifact] for the facts of
@@ -152,12 +154,16 @@ val remove_batch :
   ?on_remove:(string -> ifact -> unit) -> t -> (string * ifact) list -> int
 (** [remove_batch t facts] deletes every listed (pred, ifact) pair that
     is present; returns how many facts were removed (duplicates counted
-    once). Affected predicate stores are rebuilt in one sweep: the
-    survivors keep their relative insertion order, are renumbered
-    densely from 0, and the predicate's index patterns are rebuilt over
-    them — afterwards the store is indistinguishable from one into
-    which only the survivors were ever inserted (in particular, a
-    predicate emptied by the sweep vanishes from {!predicates}). This is the deletion
+    once). Each affected predicate gets a fresh store, derived in one
+    sweep: the survivors keep their relative insertion order and are
+    renumbered densely from 0, and the dedup set and every index
+    pattern are compacted through one old→new sequence map — in place
+    for a private store, into fresh tables for a shared one (see
+    {!copy}), which is never mutated. Afterwards the store is
+    indistinguishable from one into which only the survivors were ever
+    inserted (in particular, a predicate emptied by the sweep vanishes
+    from {!predicates}). A sweep copies no store by copy-on-write: it
+    does not count in {!cow_facts}. This is the deletion
     primitive of the incremental maintenance layer
     ({!Kgm_vadalog.Incremental}); it is batch-oriented because DRed
     removes a whole overdeletion cone at once. [on_remove] is called
@@ -224,11 +230,30 @@ val iter_matches_cached :
     unfrozen stores. *)
 
 val copy : t -> t
-(** Deep copy of the stores — the dictionary is {e shared}, so ids stay
-    stable across copies. Facts are copied in insertion order, the
-    source's index patterns are rebuilt eagerly, and the frozen flag
-    carries over (a copy of a frozen snapshot is itself a read-only
-    snapshot). *)
+(** A copy-on-write snapshot, in O(#predicates): the copy shares every
+    per-predicate store of [t] — facts, dedup set and index patterns —
+    and both sides mark each shared store read-only. A shared store is
+    never mutated again: the first {!add}, index build
+    ({!prepare_index}, or a probe on an unfrozen store) or
+    {!remove_batch} on it, through either database, first swaps a
+    private copy into that database alone (by table copy, nothing
+    re-hashed; counted in {!cow_facts}) or, for a removal, derives the
+    swept store from it. So writes to either side are never seen by
+    the other, and a predicate neither side writes stays physically
+    shared. The dictionary is {e shared} too (ids stay stable across
+    copies; it is append-only). The frozen flag carries over (a copy of
+    a frozen snapshot is itself a read-only snapshot). *)
+
+val cow_facts : t -> int
+(** Facts this database has copied so far by copy-on-write swaps of
+    shared stores (a swap of an [n]-fact store counts [n]); a
+    {!copy} starts at 0. The reasoning server reports its per-update
+    growth as [cow_facts=]. *)
+
+val same_store : t -> t -> string -> bool
+(** [same_store a b pred]: [a] and [b] hold the very same (shared)
+    store for [pred] — physical sharing after {!copy}, for tests and
+    diagnostics. [false] when either lacks [pred]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Every fact as [pred(v1, ..., vn).] lines, predicates sorted. *)

@@ -609,6 +609,119 @@ let test_support_size_stable () =
   check Alcotest.int "existential support size after 51 cycles" one
     (support_size st)
 
+(* ------------------------------------------------------------------ *)
+(* The store under maintenance: copy-on-write copies and remove_batch
+   compaction, on interned facts directly (ids need no dictionary). *)
+
+module DB = V.Database
+
+let patterns = [ [ 0 ]; [ 1 ]; [ 0; 1 ] ]
+(* everything a reader can see of [pred]: facts with their sequences,
+   indexed patterns, and the (seq, fact) answer of a probe on every
+   pattern and key *)
+let observe ?(dom = [ 0; 1; 2; 3; 4 ]) db pred =
+  let facts = ref [] in
+  DB.iter_range db pred ~lo:0 ~hi:max_int (fun seq f -> facts := (seq, Array.to_list f) :: !facts);
+  let probes =
+    List.concat_map
+      (fun pat ->
+        let keys = if List.length pat = 1 then List.map (fun k -> [ k ]) dom
+          else List.concat_map (fun a -> List.map (fun b -> [ a; b ]) dom) dom in
+        List.map
+          (fun key ->
+            let got = ref [] in
+            ignore (DB.iter_matches_i db pred pat key (fun seq f -> got := (seq, Array.to_list f) :: !got));
+            List.rev !got)
+          keys)
+      patterns
+  in
+  (List.rev !facts, DB.count db pred, probes)
+
+let test_copy_isolation () =
+  let observe = observe ~dom:(List.init 20 Fun.id) in
+  let db = DB.create () in
+  for i = 0 to 19 do
+    ignore (DB.add_i db "e" [| i mod 5; (i * 3) mod 5 + (5 * (i / 5)) |]);
+    ignore (DB.add_i db "f" [| i; i |]);
+    ignore (DB.add_i db "g" [| i mod 5; i mod 4 |])
+  done;
+  DB.prepare_index db "e" [ 0 ];
+  let c = DB.copy db in
+  DB.freeze c;
+  let taken = List.map (observe c) [ "e"; "f"; "g" ] in
+  let patterns_taken = DB.indexed_patterns c "e" in
+  (* write the master: an add, a removal sweep, a new index pattern *)
+  check Alcotest.bool "add" true (DB.add_i db "e" [| 4; 4 |]);
+  check Alcotest.int "sweep" 3
+    (DB.remove_batch db [ ("e", [| 0; 0 |]); ("g", [| 1; 1 |]); ("g", [| 2; 2 |]) ]);
+  DB.prepare_index db "g" [ 1 ];
+  ignore (DB.iter_matches_i db "e" [ 1 ] [ 3 ] (fun _ _ -> ()));
+  check Alcotest.bool "the copy reads as taken" true
+    (List.map (observe c) [ "e"; "f"; "g" ] = taken);
+  check Alcotest.(list (list int)) "its index patterns too" patterns_taken
+    (DB.indexed_patterns c "e");
+  check Alcotest.bool "unwritten store still shared" true (DB.same_store db c "f");
+  check Alcotest.bool "written stores are private" false
+    (DB.same_store db c "e" || DB.same_store db c "g");
+  check Alcotest.int "only the added-to store was copied on write" 20 (DB.cow_facts db);
+  check Alcotest.int "master total" (60 + 1 - 3) (DB.total db);
+  check Alcotest.int "copy total" 60 (DB.total c);
+  (* and the other way round: a thawed copy's writes never reach the
+     master it shares stores with *)
+  let m = List.map (observe db) [ "e"; "f"; "g" ] in
+  DB.thaw c;
+  ignore (DB.add_i c "f" [| 99; 99 |]);
+  ignore (DB.remove_batch c [ ("e", [| 1; 3 |]) ]);
+  check Alcotest.bool "the master reads as before" true
+    (List.map (observe db) [ "e"; "f"; "g" ] = m)
+
+(* QCheck: any sequence of adds, removal sweeps, index builds and
+   copies leaves each store equal to one into which only its survivors
+   were inserted — order, sequences, and the postings of every pattern
+   and key — and every copy still reads as it did when taken. *)
+type op = Add of string * int * int | Remove of (string * int * int) list | Index of string * int list | Copy
+
+let op_gen =
+  let open QCheck2.Gen in
+  let pred = oneofl [ "p"; "q" ] and v = int_range 0 4 in
+  let fact = triple pred v v in
+  frequency
+    [ (6, map (fun (p, a, b) -> Add (p, a, b)) fact);
+      (2, map (fun l -> Remove l) (list_size (int_range 1 4) fact));
+      (1, map2 (fun p pat -> Index (p, pat)) pred (oneofl patterns));
+      (1, return Copy) ]
+
+let show_op = function
+  | Add (p, a, b) -> Printf.sprintf "+%s(%d,%d)" p a b
+  | Remove l -> "-[" ^ String.concat " " (List.map (fun (p, a, b) -> Printf.sprintf "%s(%d,%d)" p a b) l) ^ "]"
+  | Index (p, pat) -> Printf.sprintf "index %s%s" p (String.concat "," (List.map string_of_int pat))
+  | Copy -> "copy"
+
+let store_equals_survivors ops =
+  let db = DB.create () in
+  let copies = ref [] in
+  let snap d = List.map (fun p -> (observe d p, DB.indexed_patterns d p)) [ "p"; "q" ] in
+  List.iter
+    (function
+      | Add (p, a, b) -> ignore (DB.add_i db p [| a; b |])
+      | Remove l -> ignore (DB.remove_batch db (List.map (fun (p, a, b) -> (p, [| a; b |])) l))
+      | Index (p, pat) -> DB.prepare_index db p pat
+      | Copy ->
+          let c = DB.copy db in
+          DB.freeze c;
+          copies := (c, snap c) :: !copies)
+    ops;
+  let fresh = DB.create () in
+  List.iter
+    (fun p ->
+      List.iter (fun f -> ignore (DB.add_i fresh p f)) (DB.facts_i db p);
+      List.iter (DB.prepare_index fresh p) (DB.indexed_patterns db p))
+    [ "p"; "q" ];
+  DB.predicates db = DB.predicates fresh
+  && DB.total db = DB.total fresh
+  && snap db = snap fresh
+  && List.for_all (fun (c, s) -> snap c = s) !copies
+
 let suite =
   [ Alcotest.test_case "insert only ≡ re-chase" `Quick test_insert_only;
     Alcotest.test_case "retract chain (DRed)" `Quick test_retract_chain;
@@ -650,4 +763,13 @@ let suite =
     Alcotest.test_case "edb_facts: re-inserts listed once, latest position"
       `Quick test_edb_facts_after_reinsert;
     Alcotest.test_case "support size stable over update cycles" `Quick
-      test_support_size_stable ]
+      test_support_size_stable;
+    Alcotest.test_case "store: a copy is isolated from writes" `Quick
+      test_copy_isolation;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      ~rand:(Random.State.make [| 20221213 |])
+      (QCheck2.Test.make ~name:"store: sweeps and copies equal a survivors-only store"
+         ~count:300 ~long_factor:20
+         ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+         QCheck2.Gen.(list_size (int_range 0 40) op_gen)
+         store_equals_survivors) ]

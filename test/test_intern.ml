@@ -515,8 +515,38 @@ let test_snapshot_v4_counters_compat () =
         (List.combine base got))
     [ 1; 2 ]
 
+(* A reader on another domain looks up values interned before it
+   started while the writer interns 2x10^5 fresh ones, growing the
+   table through many doublings: every lookup must find its value. *)
+let test_find_beside_intern () =
+  let d = Intern.create () in
+  let old = Array.init 64 (fun i -> Value.String (Printf.sprintf "old%d" i)) in
+  let ids = Array.map (Intern.intern d) old in
+  let stop = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        let misses = ref 0 and lookups = ref 0 in
+        while not (Atomic.get stop) do
+          Array.iteri
+            (fun i v ->
+              incr lookups;
+              if Intern.find d v <> Some ids.(i) then incr misses)
+            old
+        done;
+        (!misses, !lookups))
+  in
+  for i = 0 to 199_999 do
+    ignore (Intern.intern d (Value.Int i))
+  done;
+  Atomic.set stop true;
+  let misses, lookups = Domain.join reader in
+  check Alcotest.bool "the reader looked up" true (lookups > 0);
+  check Alcotest.int "no lookup missed" 0 misses;
+  check Alcotest.int "every value interned" (64 + 200_000) (Intern.length d)
+
 let suite =
   [ ("intern/resolve bijection on hostile values", `Quick, test_bijection);
+    ("find beside a concurrent intern", `Quick, test_find_beside_intern);
     ("scratch ids are negative, stable, isolated", `Quick, test_scratch);
     ("csv import unchanged by interning", `Quick, test_csv_import_unchanged);
     ("sql export unchanged by interning", `Quick, test_sql_export_unchanged);

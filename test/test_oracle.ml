@@ -12,7 +12,9 @@
    (c) existential-free programs chased on half the EDB, the other half
        inserted through Incremental, against a from-scratch chase;
    (d) programs with existential heads and stratified negation under a
-       stream of insert/retract batches through Incremental.maintain,
+       stream of insert/retract batches through Incremental.maintain
+       (each batch's result copied as a server epoch would be, and every
+       copy checked unchanged at the end of the stream),
        against a from-scratch chase of the final EDB, with the
        derivation support checked for soundness after every step.
 
@@ -439,17 +441,26 @@ let stream_agrees s =
   let edb = ref (List.map const_fact s.s_case.edb) in
   let same (p, f) (q, g) = String.equal p q && Array.for_all2 Value.equal f g in
   edb := List.fold_left (fun acc pf -> if List.exists (same pf) acc then acc else acc @ [ pf ]) [] !edb;
+  (* a server epoch after every batch: a copy-on-write copy of the
+     master, which later batches must never change *)
+  let contents db =
+    List.map (fun p -> (p, V.Database.facts_i db p)) (V.Database.predicates db)
+  in
+  let epochs = ref [] in
   support_sound st
   && List.for_all
        (fun batch ->
          let inserts = List.filter_map (fun (i, a) -> if i then Some (const_fact a) else None) batch in
          let retracts = List.filter_map (fun (i, a) -> if i then None else Some (const_fact a)) batch in
          ignore (V.Incremental.maintain st ~inserts ~retracts);
+         let epoch = V.Database.copy (V.Incremental.db st) in
+         epochs := (epoch, contents epoch) :: !epochs;
          edb := List.filter (fun pf -> not (List.exists (same pf) retracts)) !edb;
          List.iter (fun pf -> if not (List.exists (same pf) !edb) then edb := !edb @ [ pf ]) inserts;
          support_sound st
          && List.equal same (V.Incremental.edb_facts st) !edb)
        s.s_batches
+  && List.for_all (fun (epoch, taken) -> contents epoch = taken) !epochs
   &&
   let fresh = V.Database.create () in
   List.iter (fun (p, f) -> ignore (V.Database.add fresh p f)) !edb;

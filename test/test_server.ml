@@ -51,11 +51,11 @@ let mk_session src =
   st
 
 (* start a server around a fresh session, run [f], always drain *)
-let with_server ?(src = tc_src) ?(cfg = fun c -> c) ?journal f =
+let with_server ?(src = tc_src) ?(cfg = fun c -> c) ?journal ?telemetry f =
   let session = mk_session src in
   let sock = fresh_sock () in
   let config = cfg (S.default_config ~sock) in
-  let srv = S.create ?journal { config with S.sock } ~session in
+  let srv = S.create ?journal ?telemetry { config with S.sock } ~session in
   S.start srv;
   if not (S.Client.wait_ready sock) then Alcotest.fail "server never ready";
   let stats = ref None in
@@ -161,6 +161,15 @@ let test_queries () =
   check Alcotest.int "no shed" 0 stats.S.st_shed;
   check Alcotest.bool "requests counted" true (stats.S.st_requests >= 8)
 
+(* the [key=value] fields of an /update reply, in order *)
+let reply_fields body =
+  List.filter_map
+    (fun w ->
+      match String.index_opt w '=' with
+      | Some i -> Some (String.sub w 0 i, String.sub w (i + 1) (String.length w - i - 1))
+      | None -> None)
+    (String.split_on_char ' ' (String.trim body))
+
 let test_update_epochs () =
   ignore
     (with_server (fun srv sock ->
@@ -170,6 +179,26 @@ let test_update_epochs () =
          check Alcotest.int "update ok" 200 code;
          check Alcotest.bool "update reports the new epoch" true
            (String.length body >= 10 && String.sub body 0 10 = "ok epoch=1");
+         (* where the update's time went, after [fallback=] *)
+         let fields = reply_fields body in
+         check
+           Alcotest.(list string)
+           "reply fields"
+           [ "epoch"; "inserted"; "retracted"; "derived"; "deleted"; "rederived";
+             "rounds"; "strata"; "agg_groups"; "fallback"; "maintain_ms";
+             "publish_ms"; "cow_facts" ]
+           (List.map fst fields);
+         List.iter
+           (fun k ->
+             check Alcotest.bool (k ^ " is a time") true
+               (match float_of_string_opt (List.assoc k fields) with
+               | Some x -> x >= 0.
+               | None -> false))
+           [ "maintain_ms"; "publish_ms" ];
+         (* both edge and path were swept by the retraction before any
+            insert, so nothing was copied on write *)
+         check Alcotest.string "cow_facts" "0" (List.assoc "cow_facts" fields);
+
          let _, e1 = get sock "/epoch" in
          check Alcotest.string "epoch swapped" "1\n" e1;
          (* the repaired materialization serves the new closure *)
@@ -190,6 +219,100 @@ let test_update_epochs () =
                 (String.length body >= 5 && String.sub body 0 5 = "% not"));
          check Alcotest.int "server stats count the update" 1
            (S.stats srv).S.st_updates))
+
+(* the update's phases, live: an insert into stores the published epoch
+   shares copies them on write; both phases feed /metrics histograms *)
+let test_update_phases () =
+  let telemetry = Kgm_telemetry.create () in
+  ignore
+    (with_server ~telemetry (fun _srv sock ->
+         let code, body = post sock "/update" "+edge(d, e).\n" in
+         check Alcotest.int "insert ok" 200 code;
+         let cow = int_of_string (List.assoc "cow_facts" (reply_fields body)) in
+         (* edge's 3 facts and path's 6 are copied before d->e lands *)
+         check Alcotest.int "an insert into published stores copies them" 9 cow;
+         let code, body = post sock "/update" "-edge(d, e).\n" in
+         check Alcotest.int "retract ok" 200 code;
+         check Alcotest.string "a retraction sweeps, never copies" "0"
+           (List.assoc "cow_facts" (reply_fields body));
+         let hist = Kgm_telemetry.histograms telemetry in
+         List.iter
+           (fun h ->
+             check Alcotest.int (h ^ " histogram") 2
+               (match List.assoc_opt h hist with
+               | Some snap -> snap.Kgm_telemetry.Histogram.count
+               | None -> 0))
+           [ "server.maintain_s"; "server.publish_s" ];
+         let code, metrics = get sock "/metrics" in
+         check Alcotest.int "metrics" 200 code;
+         List.iter
+           (fun h ->
+             let contains s sub =
+               let n = String.length s and m = String.length sub in
+               let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+               go 0
+             in
+             check Alcotest.bool (h ^ " exported") true (contains metrics h))
+           [ "server_maintain_s"; "server_publish_s" ]));
+  (* a running-total sum re-chases into a fresh master: the copies
+     counted on the old one are not this batch's *)
+  ignore
+    (with_server
+       ~src:
+         {| tag(q). own(a, b, 0.3). own(a, c, 0.4).
+            t(X, V) :- own(X, Y, W), V = sum(W, <Y>). |}
+       (fun _srv sock ->
+         let cow body =
+           let code, reply = post sock "/update" body in
+           check Alcotest.int "update ok" 200 code;
+           let fields = reply_fields reply in
+           (List.assoc "fallback" fields, int_of_string (List.assoc "cow_facts" fields))
+         in
+         check Alcotest.(pair string int) "tag is copied" ("false", 1) (cow "+tag(r).\n");
+         check Alcotest.(pair string int) "the re-chase copies nothing" ("true", 0)
+           (cow "+own(a, d, 0.1).\n")))
+
+(* Epoch readers look constants up in the dictionary the writer is
+   interning into: an update that interns ~10^4 fresh constants (the
+   dictionary grows through several doublings) must never make a query
+   on an existing key answer empty. *)
+let test_intern_race () =
+  ignore
+    (with_server (fun _srv sock ->
+         let stop = Atomic.make false in
+         let empty = Atomic.make 0 and answered = Atomic.make 0 in
+         let reader =
+           Thread.create
+             (fun () ->
+               let c = S.Client.connect sock in
+               Fun.protect
+                 ~finally:(fun () -> S.Client.close c)
+                 (fun () ->
+                   while not (Atomic.get stop) do
+                     match S.Client.request_on c ~body:"path(a, X)" ~meth:"POST" ~path:"/query" () with
+                     | 200, body ->
+                         Atomic.incr answered;
+                         if sorted_lines body = [] then Atomic.incr empty
+                     | _ -> ()
+                   done))
+             ()
+         in
+         let batch =
+           String.concat ""
+             (List.init 10_000 (fun i -> Printf.sprintf "+tag(c%d).\n" i))
+         in
+         for round = 1 to 3 do
+           let code, _ =
+             post sock "/update"
+               (if round = 2 then String.map (fun c -> if c = '+' then '-' else c) batch
+                else batch)
+           in
+           check Alcotest.int "update ok" 200 code
+         done;
+         Atomic.set stop true;
+         Thread.join reader;
+         check Alcotest.bool "the reader ran" true (Atomic.get answered > 0);
+         check Alcotest.int "no empty answer on an existing key" 0 (Atomic.get empty)))
 
 (* rule ids recorded by a multi-phase session are pipeline-wide: a fact
    derived in the second phase must render its own rule, not the first
@@ -706,6 +829,10 @@ let suite =
       test_batch_parse;
     Alcotest.test_case "queries over a live socket." `Quick test_queries;
     Alcotest.test_case "updates swap epochs." `Quick test_update_epochs;
+    Alcotest.test_case "updates report their phases." `Quick
+      test_update_phases;
+    Alcotest.test_case "interning beside epoch readers." `Quick
+      test_intern_race;
     Alcotest.test_case "per-request deadlines answer 504." `Quick
       test_deadline;
     Alcotest.test_case "overload sheds with 503, never hangs." `Quick
